@@ -34,6 +34,21 @@ const GOLDEN: &[(&str, &str)] = &[
     ("harary_k8_n40/cds_s1/invalid", "0"),
     ("harary_k8_n40/cds_s1/num_trees", "2"),
     ("harary_k8_n40/cds_s1/size", "1.0000"),
+    ("harary_k8_n40/faulty_default/degradation_len", "4"),
+    ("harary_k8_n40/faulty_default/digest", "2776191086185077135"),
+    ("harary_k8_n40/faulty_default/flood_rounds", "39"),
+    ("harary_k8_n40/faulty_default/peak_state_words", "433"),
+    ("harary_k8_n40/faulty_default/repair_events", "42"),
+    ("harary_k8_n40/faulty_default/rounds", "40"),
+    ("harary_k8_n40/faulty_weighted/degradation_len", "4"),
+    (
+        "harary_k8_n40/faulty_weighted/digest",
+        "3558099452848606122",
+    ),
+    ("harary_k8_n40/faulty_weighted/flood_rounds", "37"),
+    ("harary_k8_n40/faulty_weighted/peak_state_words", "972"),
+    ("harary_k8_n40/faulty_weighted/repair_events", "40"),
+    ("harary_k8_n40/faulty_weighted/rounds", "38"),
     ("harary_k8_n40/rlnc/digest", "4710250910717473556"),
     ("harary_k8_n40/rlnc/rounds", "13"),
     ("harary_k8_n40/stp_mwu/size", "4.0607"),
@@ -65,6 +80,30 @@ const GOLDEN: &[(&str, &str)] = &[
     ("random_regular_n36_d6/cds_s1/invalid", "0"),
     ("random_regular_n36_d6/cds_s1/num_trees", "1"),
     ("random_regular_n36_d6/cds_s1/size", "1.0000"),
+    ("random_regular_n36_d6/faulty_default/degradation_len", "4"),
+    (
+        "random_regular_n36_d6/faulty_default/digest",
+        "9786898984715176129",
+    ),
+    ("random_regular_n36_d6/faulty_default/flood_rounds", "36"),
+    (
+        "random_regular_n36_d6/faulty_default/peak_state_words",
+        "301",
+    ),
+    ("random_regular_n36_d6/faulty_default/repair_events", "40"),
+    ("random_regular_n36_d6/faulty_default/rounds", "37"),
+    ("random_regular_n36_d6/faulty_weighted/degradation_len", "4"),
+    (
+        "random_regular_n36_d6/faulty_weighted/digest",
+        "5617883377452853041",
+    ),
+    ("random_regular_n36_d6/faulty_weighted/flood_rounds", "31"),
+    (
+        "random_regular_n36_d6/faulty_weighted/peak_state_words",
+        "744",
+    ),
+    ("random_regular_n36_d6/faulty_weighted/repair_events", "37"),
+    ("random_regular_n36_d6/faulty_weighted/rounds", "32"),
     ("random_regular_n36_d6/rlnc/digest", "14363031946562860219"),
     ("random_regular_n36_d6/rlnc/rounds", "11"),
     ("random_regular_n36_d6/stp_mwu/size", "3.0264"),

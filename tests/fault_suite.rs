@@ -7,8 +7,9 @@
 //! on every fixture family (greedy and weighted schedules, vertex and
 //! edge faults), seed-reproducibility of `FaultPlan` schedules,
 //! bit-for-bit equivalence of incremental deletion-aware repacking
-//! against from-scratch rebuilds, and the distributed two-phase repair
-//! protocol on the env-selected engine (CI sweeps `DECOMP_ENGINE`).
+//! against from-scratch rebuilds, the distributed two-phase repair
+//! protocol on the env-selected engine (CI sweeps `DECOMP_ENGINE`), and
+//! golden values for the faulty greedy and weighted schedules.
 
 use connectivity_decomposition::broadcast::gossip::{
     gossip_via_trees_faulty, gossip_via_trees_with, GossipConfig,
@@ -20,7 +21,7 @@ use connectivity_decomposition::core::cds::class_state::ClassState;
 use connectivity_decomposition::core::cds::tree_extract::to_dom_tree_packing;
 use connectivity_decomposition::core::packing::DomTreePacking;
 use connectivity_decomposition::core::virtual_graph::{VType, VirtualLayout};
-use decomp_testkit::{fixtures, SEEDS};
+use decomp_testkit::{fixtures, golden, SEEDS};
 
 /// The fixture's dominating-tree packing, built the same way the
 /// end-to-end pipeline builds it.
@@ -179,6 +180,60 @@ fn fault_schedules_and_reports_are_seed_reproducible() {
     assert_eq!(run(1), run(1));
     // Distinct seeds draw distinct schedules on this instance.
     assert_ne!(run(1).0, run(7).0);
+}
+
+#[test]
+fn faulty_schedules_match_golden_registry() {
+    // The static faulty path under both relay policies, pinned by value:
+    // two kills, a cut on a tree edge, and a late arrival drive the dead
+    // purge, the repair pass, the flood fallback and the idle
+    // fast-forward, so any drift in the tree schedule's round loop shows here.
+    for f in fixtures::small()
+        .into_iter()
+        .filter(|f| ["harary_k8_n40", "random_regular_n36_d6"].contains(&f.name.as_str()))
+    {
+        let packing = packing_for(&f);
+        let (killed, arrival) = ([5usize, 17], 11usize);
+        let clear = |v: usize| !killed.contains(&v) && v != arrival;
+        let &(cu, cv) = packing.trees[0]
+            .edges
+            .iter()
+            .find(|&&(u, v)| clear(u) && clear(v))
+            .expect("fixture: tree 0 has an edge clear of the victims");
+        let plan = FaultPlan::new([
+            ScheduledFault {
+                round: 2,
+                fault: Fault::Vertex(killed[0]),
+            },
+            ScheduledFault {
+                round: 3,
+                fault: Fault::Edge(cu, cv),
+            },
+            ScheduledFault {
+                round: 4,
+                fault: Fault::Vertex(killed[1]),
+            },
+            ScheduledFault {
+                round: 7,
+                fault: Fault::AddVertex(arrival),
+            },
+        ]);
+        let origins: Vec<usize> = (0..f.graph.n()).collect();
+        for (name, config) in [
+            ("default", GossipConfig::default()),
+            ("weighted", GossipConfig::weighted()),
+        ] {
+            let r = gossip_via_trees_faulty(&f.graph, &packing, &origins, 5, config, &plan)
+                .unwrap_or_else(|e| panic!("{} {name}: {e}", f.name));
+            let key = |q: &str| format!("{}/faulty_{name}/{q}", f.name);
+            golden::check(&key("digest"), r.schedule_digest);
+            golden::check(&key("rounds"), r.rounds);
+            golden::check(&key("peak_state_words"), r.peak_state_words);
+            golden::check(&key("repair_events"), r.repair_events);
+            golden::check(&key("flood_rounds"), r.flood_rounds);
+            golden::check(&key("degradation_len"), r.degradation.len());
+        }
+    }
 }
 
 #[test]
