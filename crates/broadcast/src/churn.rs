@@ -18,13 +18,18 @@
 //! holding a copy, so flood rounds stay bounded per wave instead of
 //! accumulating for the rest of the run.
 //!
-//! The round loop is the greedy scheduler's (faults fire first,
-//! choices from round-start state, deliveries in ascending sender
-//! order, one relay per vertex per round), so digests are comparable
-//! run to run: same graph, plan, seed, and origins → same
-//! [`ChurnGossipReport::schedule_digest`].
+//! The round loop, the dead purge and the repair pass are the one
+//! tree-schedule core of [`crate::gossip`] under its greedy relay policy
+//! (faults fire first, choices from round-start state, deliveries in
+//! ascending sender order, one relay per vertex per round) and its
+//! `FLOOD` fallback. This module adds only what churn needs: applying
+//! each wave to the class state, re-certifying the touched classes, and
+//! the flood→tree re-admission rule. Same graph, plan, seed, and origins
+//! → same [`ChurnGossipReport::schedule_digest`].
 
-use crate::gossip::{relay_hash, BitRows, FaultTracker, MessageOrigin};
+use crate::gossip::{
+    tree_schedule, BitRows, FaultTracker, Faults, GreedyRelay, MessageOrigin, FLOOD,
+};
 use decomp_congest::{Fault, FaultPlan, FaultPlanError};
 use decomp_core::cds::centralized::CdsPacking;
 use decomp_core::cds::class_state::ClassState;
@@ -33,12 +38,7 @@ use decomp_core::packing::WeightedDomTree;
 use decomp_graph::{Graph, GrowableGraph, NodeId};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::cmp::Reverse;
-use std::collections::{BTreeSet, BinaryHeap};
-
-/// Sentinel class id for the flood fallback (mirrors the private
-/// sentinel of [`crate::gossip`]).
-const FLOOD: usize = usize::MAX;
+use std::collections::BTreeSet;
 
 /// Why a churn run refused to start.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -137,31 +137,20 @@ pub struct ChurnGossipReport {
 /// Certifies class `c` over the current survivors and re-extracts its
 /// dominating tree: non-empty, one component
 /// ([`ClassState::component_count`]), every live present vertex
-/// dominated through a usable edge, and the members spanning under the
-/// tracker's edge filter.
+/// dominated through a usable edge, and the members (row `c` of
+/// `member`) spanning under the tracker's edge filter.
 fn certify_class(
     g: &Graph,
     ft: &FaultTracker<'_>,
     state: &ClassState,
     member: &BitRows,
-    members_c: &[NodeId],
     c: usize,
 ) -> Option<WeightedDomTree> {
-    if members_c.is_empty() || state.component_count(c) != 1 {
+    if state.component_count(c) != 1 || !ft.dominated(g, |v| member.get(c, v)) {
         return None;
     }
-    'outer: for v in 0..g.n() {
-        if ft.is_dead(v) || ft.is_dormant(v) || member.get(c, v) {
-            continue;
-        }
-        for &u in g.neighbors(v) {
-            if member.get(c, u) && ft.ok_edge(v, u) {
-                continue 'outer;
-            }
-        }
-        return None;
-    }
-    reextract_class_tree(g, c, members_c, |u, v| ft.ok_edge(u, v))
+    let members: Vec<NodeId> = (0..g.n()).filter(|&v| member.get(c, v)).collect();
+    reextract_class_tree(g, c, &members, |u, v| ft.ok_edge(u, v))
 }
 
 /// Runs seeded greedy gossip over the CDS packing's classes while the
@@ -219,6 +208,10 @@ pub fn gossip_under_growth(
     run_churn(&gfull, cds, state, origins, seed, plan, true)
 }
 
+/// Shared body of the churn entry points: the class-state setup and the
+/// per-wave certify hook, driving the greedy [`tree_schedule`] with the
+/// flood→tree re-admission rule on. `admit` selects growth-mode
+/// admission of class-free arrivals.
 fn run_churn(
     g: &Graph,
     cds: &CdsPacking,
@@ -240,26 +233,21 @@ fn run_churn(
     // Final-topology class memberships, captured before churn mutates
     // the state (arrivals re-enter exactly their original classes).
     let original: Vec<Vec<u32>> = (0..n).map(|v| state.classes_at(v).to_vec()).collect();
-    let mut members: Vec<Vec<NodeId>> = cds.classes.clone();
     let mut member = BitRows::new(t.max(1), n);
-    for (c, ms) in members.iter().enumerate() {
+    for (c, ms) in cds.classes.iter().enumerate() {
         for &v in ms {
             member.set(c, v);
         }
     }
 
-    let mut ft = FaultTracker::new(plan, n);
+    let ft = FaultTracker::new(plan, n);
 
     // Round-0 view: not-yet-arrived vertices and edges leave the class
-    // state (they re-enter through the wave loop's `insert_*` calls).
+    // state (they re-enter through the wave hook's `insert_*` calls).
     let g0 = plan.surviving_graph(g, 0);
     for v in plan.dormant_vertices_after(0) {
         for c in state.delete_vertex(&g0, v) {
-            let c = c as usize;
-            member.clear(c, v);
-            if let Ok(i) = members[c].binary_search(&v) {
-                members[c].remove(i);
-            }
+            member.clear(c as usize, v);
         }
     }
     for e in events {
@@ -273,7 +261,7 @@ fn run_churn(
     // Initial certification: one dominating tree per class that holds
     // together over the round-0 population.
     let mut trees: Vec<Option<WeightedDomTree>> = (0..t)
-        .map(|c| certify_class(g, &ft, state, &member, &members[c], c))
+        .map(|c| certify_class(g, &ft, state, &member, c))
         .collect();
 
     // Seeded tree assignment over the initially certified classes.
@@ -289,314 +277,116 @@ fn run_churn(
         })
         .collect();
 
-    // Greedy-scheduler state (mirrors `crate::gossip::greedy_schedule`,
-    // fault path always on).
-    let mut received = BitRows::new(nmsg.max(1), n);
-    let mut remaining: Vec<usize> = vec![n - 1; nmsg];
-    let mut pending: Vec<BinaryHeap<Reverse<u32>>> = (0..n).map(|_| BinaryHeap::new()).collect();
-    let mut relayed = BitRows::new(nmsg.max(1), n);
-    let mut worklist: Vec<u32> = Vec::new();
-    let mut queued: Vec<bool> = vec![false; n];
-    let mut incomplete = 0usize;
-    for (m, &origin) in origins.iter().enumerate() {
-        received.set(m, origin);
-        if remaining[m] > 0 {
-            incomplete += 1;
-        }
-        pending[origin].push(Reverse(m as u32));
-        if !queued[origin] {
-            queued[origin] = true;
-            worklist.push(origin as u32);
-        }
-    }
-
-    let mut waves: Vec<ChurnWaveSample> = Vec::new();
-    let mut lost_messages = 0usize;
-    let mut wasted_bandwidth = 0usize;
-    let mut repair_events = 0usize;
-    let mut flood_rounds = 0usize;
-    let mut reextractions = 0usize;
+    // Per wave: (re-extracted classes, flood rounds before the wave).
+    let mut wave_notes: Vec<(usize, usize)> = Vec::new();
     let mut admitted_via_packing = 0usize;
     let mut flood_served = 0usize;
-    let mut newly_dead: Vec<usize> = Vec::new();
     let mut applied = 0usize;
     // Kills already applied to the class state — "death wins" is
     // replayed in event order, exactly as the tracker sees it.
     let mut dead_applied = vec![false; n];
-
-    let mut rounds = 0usize;
-    let mut schedule_digest = 0u64;
-    let round_limit = 64 * (n + nmsg) + 1024;
-    let mut frontier: Vec<u32> = Vec::new();
-    let mut relays: Vec<(u32, u32)> = Vec::new();
-    while incomplete > 0 {
-        rounds += 1;
-        assert!(
-            rounds <= round_limit,
-            "churn gossip failed to complete within {round_limit} rounds"
-        );
-        // Phase 0 — the wave fires: events hit the class state, dead
-        // vertices drop their queues, touched classes re-extract, and
-        // the repair pass reassigns/re-admits in-flight messages.
-        newly_dead.clear();
-        if ft.advance(rounds, &mut newly_dead) {
-            let g_live = plan.surviving_graph(g, rounds);
-            let mut touched: BTreeSet<usize> = BTreeSet::new();
-            for e in &events[applied..ft.fired()] {
-                match e.fault {
-                    Fault::Vertex(v) => {
-                        dead_applied[v] = true;
-                        for c in state.delete_vertex(&g_live, v) {
-                            let c = c as usize;
-                            member.clear(c, v);
-                            if let Ok(i) = members[c].binary_search(&v) {
-                                members[c].remove(i);
-                            }
-                            touched.insert(c);
-                        }
+    // Each wave's events hit the class state, and only the touched
+    // classes are re-certified; everything else keeps its tree. An
+    // arrival can also break certification (the newcomer may be
+    // undominated), in which case the class floods until a later wave
+    // heals it. The certified set feeds the shared repair pass.
+    let certify = |ft: &FaultTracker<'_>, member: &mut BitRows, round: usize, flood_rounds| {
+        let g_live = plan.surviving_graph(g, round);
+        let mut touched: BTreeSet<usize> = BTreeSet::new();
+        for e in &events[applied..ft.fired()] {
+            match e.fault {
+                Fault::Vertex(v) => {
+                    dead_applied[v] = true;
+                    for c in state.delete_vertex(&g_live, v) {
+                        member.clear(c as usize, v);
+                        touched.insert(c as usize);
                     }
-                    Fault::Edge(u, v) => {
-                        for c in state.delete_edge(&g_live, u, v) {
-                            touched.insert(c as usize);
-                        }
+                }
+                Fault::Edge(u, v) => {
+                    for c in state.delete_edge(&g_live, u, v) {
+                        touched.insert(c as usize);
                     }
-                    Fault::AddVertex(v) => {
-                        if !dead_applied[v] {
-                            // Packing members re-enter their original
-                            // classes; a class-free newcomer is either
-                            // admitted incrementally (growth mode) or
-                            // left to domination/flood (settled mode).
-                            let entered = if !original[v].is_empty() {
-                                state.insert_vertex(&g_live, v, &original[v])
-                            } else if admit {
-                                let entered = state.admit_vertex(&g_live, v);
-                                if entered.is_empty() {
-                                    flood_served += 1;
-                                } else {
-                                    admitted_via_packing += 1;
-                                }
-                                entered
-                            } else {
+                }
+                Fault::AddVertex(v) => {
+                    if !dead_applied[v] {
+                        // Packing members re-enter their original
+                        // classes; a class-free newcomer is either
+                        // admitted incrementally (growth mode) or left
+                        // to domination/flood (settled mode).
+                        let entered = if !original[v].is_empty() {
+                            state.insert_vertex(&g_live, v, &original[v])
+                        } else if admit {
+                            let entered = state.admit_vertex(&g_live, v);
+                            if entered.is_empty() {
                                 flood_served += 1;
-                                Vec::new()
-                            };
-                            for c in entered {
-                                let c = c as usize;
-                                member.set(c, v);
-                                if let Err(i) = members[c].binary_search(&v) {
-                                    members[c].insert(i, v);
-                                }
-                                touched.insert(c);
+                            } else {
+                                admitted_via_packing += 1;
                             }
-                        }
-                    }
-                    Fault::AddEdge(u, v) => {
-                        for c in state.insert_edge(u, v) {
+                            entered
+                        } else {
+                            flood_served += 1;
+                            Vec::new()
+                        };
+                        for c in entered {
+                            member.set(c as usize, v);
                             touched.insert(c as usize);
                         }
                     }
                 }
-            }
-            applied = ft.fired();
-            // Dead vertices drop their relay queues and no longer
-            // count toward delivery.
-            for &v in &newly_dead {
-                pending[v].clear();
-            }
-            for (m, rem) in remaining.iter_mut().enumerate() {
-                if *rem == 0 {
-                    continue;
-                }
-                for &v in &newly_dead {
-                    if !received.get(m, v) {
-                        *rem -= 1;
-                        if *rem == 0 {
-                            incomplete -= 1;
-                        }
+                Fault::AddEdge(u, v) => {
+                    for c in state.insert_edge(u, v) {
+                        touched.insert(c as usize);
                     }
                 }
             }
-            // Re-extraction: only the touched classes are re-certified;
-            // everything else keeps its tree untouched. An arrival can
-            // also break certification (the newcomer may be
-            // undominated), in which case the class floods until a
-            // later wave heals it.
-            let mut reextracted = 0usize;
-            for &c in &touched {
-                trees[c] = certify_class(g, &ft, state, &member, &members[c], c);
-                if trees[c].is_some() {
-                    reextracted += 1;
-                }
-            }
-            reextractions += reextracted;
-            // Repair + re-admission pass.
-            let mut reassigned = 0usize;
-            let mut lost = 0usize;
-            for m in 0..nmsg {
-                if remaining[m] == 0 {
-                    continue;
-                }
-                // Dormant holders count: a dormant origin's message is
-                // not lost — it arrives with the vertex.
-                let holders: Vec<usize> = (0..n)
-                    .filter(|&v| !ft.is_dead(v) && received.get(m, v))
-                    .collect();
-                if holders.is_empty() {
-                    remaining[m] = 0;
-                    incomplete -= 1;
-                    lost += 1;
-                    continue;
-                }
-                let eligible =
-                    |c: usize, v: usize| c == FLOOD || member.get(c, v) || v == origins[m];
-                let cur = tree_of[m];
-                // Lowest-id certified class that can pick the message
-                // up from a holder — the re-admission target.
-                let target =
-                    (0..t).find(|&c| trees[c].is_some() && holders.iter().any(|&v| eligible(c, v)));
-                let covers = |c: usize| {
-                    crate::gossip::assignment_still_covers(
-                        g,
-                        &ft,
-                        origins[m],
-                        c == FLOOD,
-                        |v| c != FLOOD && member.get(c, v),
-                        |v| received.get(m, v),
-                        |v| relayed.get(m, v),
-                    )
-                };
-                let next = if cur == FLOOD {
-                    match target {
-                        // Flood → tree re-admission, even mid-flood.
-                        Some(c) => c,
-                        None if covers(FLOOD) => continue,
-                        None => FLOOD, // re-flood (e.g. an arrival needs redelivery)
-                    }
-                } else if cur < t && trees[cur].is_some() && covers(cur) {
-                    continue; // current tree still reaches every needy vertex
-                } else {
-                    target.unwrap_or(FLOOD)
-                };
-                tree_of[m] = next;
-                reassigned += 1;
-                for &v in &holders {
-                    if eligible(next, v) {
-                        relayed.clear(m, v);
-                        pending[v].push(Reverse(m as u32));
-                        if !queued[v] {
-                            queued[v] = true;
-                            worklist.push(v as u32);
-                        }
-                    }
-                }
-            }
-            lost_messages += lost;
-            repair_events += reassigned;
-            // Arrivals whose pending relays were seeded while they
-            // slept (a dormant origin, or a reseed above) rejoin the
-            // worklist now.
-            for &v in ft.woke() {
-                if !pending[v].is_empty() && !queued[v] {
-                    queued[v] = true;
-                    worklist.push(v as u32);
-                }
-            }
-            waves.push(ChurnWaveSample {
-                round: rounds,
-                live_vertices: ft.live(),
-                certified_trees: trees.iter().filter(|t| t.is_some()).count(),
-                reextracted_classes: reextracted,
-                reassigned_messages: reassigned,
-                lost_messages: lost,
-                incomplete_messages: incomplete,
-                flood_rounds_before: flood_rounds,
-            });
-            if incomplete == 0 {
-                rounds -= 1;
-                break;
-            }
         }
-        // Phase 1 — each present vertex pops its lowest-indexed pending
-        // message (dormant vertices sit out; their heaps keep the
-        // entries until arrival).
-        std::mem::swap(&mut frontier, &mut worklist);
-        relays.clear();
-        for &v in &frontier {
-            let v = v as usize;
-            queued[v] = false;
-            if ft.is_dead(v) || ft.is_dormant(v) {
-                continue;
-            }
-            while let Some(&Reverse(m)) = pending[v].peek() {
-                pending[v].pop();
-                if remaining[m as usize] > 0 && !relayed.get(m as usize, v) {
-                    relays.push((v as u32, m));
-                    break;
-                }
-            }
+        applied = ft.fired();
+        let mut reextracted = 0usize;
+        for &c in &touched {
+            trees[c] = certify_class(g, ft, state, member, c);
+            reextracted += trees[c].is_some() as usize;
         }
-        // Phase 2 — apply all relays; receptions push next-round work.
-        let mut flooded = false;
-        for &(v, m) in &relays {
-            schedule_digest =
-                schedule_digest.wrapping_add(relay_hash(rounds, v as usize, m as usize));
-            relayed.set(m as usize, v as usize);
-            let tree = tree_of[m as usize];
-            flooded |= tree == FLOOD;
-            for &u in g.neighbors(v as usize) {
-                if !ft.ok_edge(v as usize, u) {
-                    continue;
-                }
-                if !received.get(m as usize, u) {
-                    received.set(m as usize, u);
-                    remaining[m as usize] -= 1;
-                    if remaining[m as usize] == 0 {
-                        incomplete -= 1;
-                    }
-                    if tree == FLOOD || member.get(tree, u) {
-                        pending[u].push(Reverse(m));
-                        if !queued[u] {
-                            queued[u] = true;
-                            worklist.push(u as u32);
-                        }
-                    }
-                } else {
-                    wasted_bandwidth += 1;
-                }
-            }
-        }
-        flood_rounds += flooded as usize;
-        // Vertices that still hold pending relays stay on the frontier.
-        for &v in &frontier {
-            if !pending[v as usize].is_empty() && !queued[v as usize] {
-                queued[v as usize] = true;
-                worklist.push(v);
-            }
-        }
-        frontier.clear();
-        if relays.is_empty() && incomplete > 0 {
-            // Idle only while a scheduled arrival is still due; jump to
-            // its eve (digest-neutral — idle rounds carry no relays).
-            let Some(r) = ft.next_event_round() else {
-                panic!(
-                    "churn gossip stalled: a message can no longer make progress \
-                     (did churn disconnect the survivors?)"
-                );
-            };
-            rounds = rounds.max(r.saturating_sub(1));
-        }
-    }
+        wave_notes.push((reextracted, flood_rounds));
+        trees.iter().map(Option::is_some).collect()
+    };
+    let outcome = tree_schedule(
+        g,
+        &mut member,
+        &mut tree_of,
+        origins,
+        GreedyRelay::new(n),
+        Some(Faults {
+            tracker: ft,
+            certify,
+            readmit_from_flood: true,
+        }),
+    );
 
+    let waves: Vec<ChurnWaveSample> = outcome
+        .degradation
+        .iter()
+        .zip(&wave_notes)
+        .map(|(s, &(reextracted, flood_rounds_before))| ChurnWaveSample {
+            round: s.round,
+            live_vertices: s.live_vertices,
+            certified_trees: s.surviving_trees,
+            reextracted_classes: reextracted,
+            reassigned_messages: s.reassigned_messages,
+            lost_messages: s.lost_messages,
+            incomplete_messages: s.incomplete_messages,
+            flood_rounds_before,
+        })
+        .collect();
     Ok(ChurnGossipReport {
-        rounds,
+        rounds: outcome.rounds,
         num_messages: nmsg,
-        complete: lost_messages == 0,
-        lost_messages,
-        wasted_bandwidth,
-        repair_events,
-        flood_rounds,
-        reextractions,
-        schedule_digest,
+        complete: outcome.lost_messages == 0,
+        lost_messages: outcome.lost_messages,
+        wasted_bandwidth: outcome.wasted_bandwidth,
+        repair_events: outcome.repair_events,
+        flood_rounds: outcome.flood_rounds,
+        reextractions: wave_notes.iter().map(|&(r, _)| r).sum(),
+        schedule_digest: outcome.schedule_digest,
         waves,
         admitted_via_packing,
         flood_served,

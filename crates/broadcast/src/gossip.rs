@@ -222,10 +222,9 @@ pub(crate) fn relay_hash(round: usize, v: usize, m: usize) -> u64 {
 
 /// Sentinel tree id for the flood fallback: when no surviving tree can
 /// carry a message, every live holder relays it and every live receiver
-/// relays onward — BFS over the surviving graph.
-const FLOOD: usize = usize::MAX;
-/// `FLOOD` as a lane key (sorts after every real tree id).
-const FLOOD_LANE: u32 = u32::MAX;
+/// relays onward — BFS over the surviving graph. Shared by every tree
+/// schedule, churn included.
+pub(crate) const FLOOD: usize = usize::MAX;
 
 /// The schedulers' live view of a [`FaultPlan`]: which faults have
 /// fired so far, mirroring `decomp_congest::fault::FaultState` for the
@@ -394,28 +393,24 @@ impl<'p> FaultTracker<'p> {
         tree: &WeightedDomTree,
         member: &BitRows,
     ) -> bool {
-        for &(u, v) in &tree.edges {
-            if !self.ok_edge(u, v) {
-                return false;
-            }
-        }
-        if let Some(s) = tree.singleton {
-            if self.dead[s] || self.dormant[s] {
-                return false;
-            }
-        }
-        'outer: for v in 0..g.n() {
-            if self.dead[v] || self.dormant[v] || member.get(t, v) {
-                continue;
-            }
-            for &u in g.neighbors(v) {
-                if member.get(t, u) && self.ok_edge(v, u) {
-                    continue 'outer;
-                }
-            }
-            return false;
-        }
-        true
+        tree.edges.iter().all(|&(u, v)| self.ok_edge(u, v))
+            && tree
+                .singleton
+                .is_none_or(|s| !self.dead[s] && !self.dormant[s])
+            && self.dominated(g, |v| member.get(t, v))
+    }
+
+    /// Whether every live present vertex is a member or adjacent to one
+    /// through a usable edge (dormant vertices are exempt until arrival).
+    pub(crate) fn dominated(&self, g: &Graph, is_member: impl Fn(usize) -> bool) -> bool {
+        (0..g.n()).all(|v| {
+            self.dead[v]
+                || self.dormant[v]
+                || is_member(v)
+                || g.neighbors(v)
+                    .iter()
+                    .any(|&u| is_member(u) && self.ok_edge(v, u))
+        })
     }
 }
 
@@ -576,9 +571,10 @@ impl GossipConfig {
 /// Simulates the tree-parallel gossip schedule of Appendix A.
 ///
 /// `origins[i]` holds message `i`. Each message is assigned to a uniformly
-/// random tree of `packing`; vertices relay greedily (FIFO), one message
-/// per vertex per round (V-CONGEST). Terminates when every message has
-/// reached every vertex.
+/// random tree of `packing`; each round every vertex relays the
+/// lowest-indexed eligible message it holds (popped from a per-vertex
+/// min-heap), one message per vertex per round (V-CONGEST). Terminates
+/// when every message has reached every vertex.
 ///
 /// # Panics
 /// Panics if the packing is empty, a tree fails to dominate, or the graph
@@ -701,12 +697,35 @@ fn run_gossip(
             for &t in &tree_of {
                 per_tree_load[t] += 1;
             }
+            // A static packing never changes membership: a tree stays
+            // certified while its members, edges and domination survive.
+            let faults = faults.map(|plan| Faults {
+                tracker: FaultTracker::new(plan, n),
+                certify: |ft: &FaultTracker<'_>, member: &mut BitRows, _: usize, _: usize| {
+                    let intact = |(t, tree)| ft.tree_ok(g, t, tree, member);
+                    packing.trees.iter().enumerate().map(intact).collect()
+                },
+                readmit_from_flood: false,
+            });
             let outcome = match config.sharing {
-                Sharing::Greedy => {
-                    greedy_schedule(g, packing, &member, &mut tree_of, origins, faults)
-                }
+                Sharing::Greedy => tree_schedule(
+                    g,
+                    &mut member,
+                    &mut tree_of,
+                    origins,
+                    GreedyRelay::new(n),
+                    faults,
+                ),
                 Sharing::Weighted => {
-                    weighted_schedule(g, packing, &member, &mut tree_of, origins, faults)
+                    let weight = packing.trees.iter().map(|t| t.weight).collect();
+                    tree_schedule(
+                        g,
+                        &mut member,
+                        &mut tree_of,
+                        origins,
+                        WeightedRelay::new(n, weight),
+                        faults,
+                    )
                 }
             };
             (outcome, per_tree_load)
@@ -756,342 +775,138 @@ pub(crate) struct ScheduleOutcome {
     pub(crate) flood_rounds: usize,
 }
 
-/// The historical greedy schedule: each vertex relays its lowest-indexed
-/// eligible message each round.
-fn greedy_schedule(
-    g: &Graph,
-    packing: &DomTreePacking,
-    member: &BitRows,
-    tree_of: &mut [usize],
-    origins: &[MessageOrigin],
-    faults: Option<&FaultPlan>,
-) -> ScheduleOutcome {
-    let n = g.n();
-    let nmsg = origins.len();
-    // received: one bit row per message. A vertex's pending relays live
-    // in a min-heap over message indices: the greedy schedule relays the
-    // lowest-indexed eligible message, exactly as the historical
-    // `O(nmsg · n)` table scan chose it. Fault-free, a (message, vertex)
-    // pair enters a heap at most once (on the vertex's 0→1 reception,
-    // members only, plus the origin hand-off), so popping doubles as the
-    // `relayed` table; the fault repair pass reseeds holders, so under a
-    // plan relays are tracked explicitly in the `relayed` bitset.
-    let mut received = BitRows::new(nmsg, n);
-    let mut remaining: Vec<usize> = vec![n - 1; nmsg];
-    let mut pending: Vec<BinaryHeap<Reverse<u32>>> = (0..n).map(|_| BinaryHeap::new()).collect();
-    let mut worklist: Vec<u32> = Vec::new();
-    let mut queued: Vec<bool> = vec![false; n];
-    let mut incomplete = 0usize;
-    for (m, &origin) in origins.iter().enumerate() {
-        received.set(m, origin);
-        if remaining[m] > 0 {
-            incomplete += 1;
-        }
-        pending[origin].push(Reverse(m as u32));
-        if !queued[origin] {
-            queued[origin] = true;
-            worklist.push(origin as u32);
-        }
-    }
-    let mut pending_entries = nmsg;
-    let mut peak_pending = pending_entries;
+/// How a vertex spends its one relay slot per round — the only part of a
+/// tree schedule that differs between [`Sharing`] policies. The round
+/// loop ([`tree_schedule`]) owns everything else and calls in here to
+/// queue, drop and pick relays.
+pub(crate) trait RelayPolicy {
+    /// Queues message `m`, riding `tree` (or [`FLOOD`]), for relay at `v`.
+    fn push(&mut self, v: usize, tree: usize, m: u32);
+    /// Drops everything queued at `v` (a vertex that just died).
+    fn clear(&mut self, v: usize);
+    /// Whether `v` still has a queued relay.
+    fn has_pending(&self, v: usize) -> bool;
+    /// Pops `v`'s relay for this round, lazily discarding `stale` entries
+    /// (messages that completed, or that `v` already relayed).
+    fn pick(&mut self, v: usize, stale: impl Fn(u32) -> bool) -> Option<u32>;
+    /// A message riding `tree` became incomplete (at the start, or by a
+    /// repair-pass move onto `tree`).
+    fn opened(&mut self, _tree: usize) {}
+    /// A message riding `tree` completed, was lost, or moved away.
+    fn closed(&mut self, _tree: usize) {}
+    /// Folds the current queue footprint into the peak.
+    fn sample_peak(&mut self);
+    /// Peak queue footprint in 64-bit words.
+    fn peak_words(&self) -> usize;
+}
 
-    // Fault-path state; `None` everywhere on the (digest-pinned)
-    // fault-free path.
-    let mut tracker = faults.map(|p| FaultTracker::new(p, n));
-    let mut relayed = faults.map(|_| BitRows::new(nmsg, n));
-    let mut degradation: Vec<DegradationSample> = Vec::new();
-    let mut lost_messages = 0usize;
-    let mut wasted_bandwidth = 0usize;
-    let mut repair_events = 0usize;
-    let mut flood_rounds = 0usize;
-    let mut newly_dead: Vec<usize> = Vec::new();
+/// [`Sharing::Greedy`]: one min-heap of message indices per vertex, so
+/// each vertex relays its lowest-indexed eligible message — exactly the
+/// choice of the historical `O(nmsg · n)` table scan.
+pub(crate) struct GreedyRelay {
+    heaps: Vec<BinaryHeap<Reverse<u32>>>,
+    entries: usize,
+    peak: usize,
+}
 
-    let mut rounds = 0usize;
-    let mut schedule_digest = 0u64;
-    let round_limit = 64 * (n + nmsg) + 1024;
-    let mut frontier: Vec<u32> = Vec::new();
-    let mut relays: Vec<(u32, u32)> = Vec::new();
-    while incomplete > 0 {
-        rounds += 1;
-        assert!(
-            rounds <= round_limit,
-            "gossip schedule failed to complete within {round_limit} rounds"
-        );
-        // Phase 0 — faults scheduled at this round fire before any
-        // relay choice is made.
-        if let Some(ft) = tracker.as_mut() {
-            newly_dead.clear();
-            if ft.advance(rounds, &mut newly_dead) {
-                let relayed = relayed.as_mut().expect("fault path tracks relays");
-                // Dead vertices drop their relay queues and no longer
-                // count toward delivery.
-                for &v in &newly_dead {
-                    pending_entries -= pending[v].len();
-                    pending[v].clear();
-                }
-                for (m, rem) in remaining.iter_mut().enumerate() {
-                    if *rem == 0 {
-                        continue;
-                    }
-                    for &v in &newly_dead {
-                        if !received.get(m, v) {
-                            *rem -= 1;
-                            if *rem == 0 {
-                                incomplete -= 1;
-                            }
-                        }
-                    }
-                }
-                // Repair pass: any incomplete message without a live,
-                // unrelayed, relay-eligible holder on an intact tree is
-                // moved to the lowest-id surviving tree holding it —
-                // or floods if no tree can carry it — and its eligible
-                // holders are reseeded (allowed to relay again). The
-                // same pass serves arrivals: a message complete among
-                // the old population has every holder relayed, so the
-                // arrival of a still-needy vertex reseeds it onto a
-                // tree that dominates the newcomer.
-                let alive: Vec<bool> = packing
-                    .trees
-                    .iter()
-                    .enumerate()
-                    .map(|(t, tree)| ft.tree_ok(g, t, tree, member))
-                    .collect();
-                let mut reassigned = 0usize;
-                let mut lost = 0usize;
-                for m in 0..nmsg {
-                    if remaining[m] == 0 {
-                        continue;
-                    }
-                    // Dormant holders count (a dormant origin's message
-                    // is not lost — it arrives with the vertex); their
-                    // reseeded entries wait in the heap until arrival.
-                    let holders: Vec<usize> = (0..n)
-                        .filter(|&v| !ft.is_dead(v) && received.get(m, v))
-                        .collect();
-                    if holders.is_empty() {
-                        remaining[m] = 0;
-                        incomplete -= 1;
-                        lost += 1;
-                        continue;
-                    }
-                    let eligible =
-                        |t: usize, v: usize| t == FLOOD || member.get(t, v) || v == origins[m];
-                    let cur = tree_of[m];
-                    if (cur == FLOOD || alive[cur])
-                        && assignment_still_covers(
-                            g,
-                            ft,
-                            origins[m],
-                            cur == FLOOD,
-                            |v| cur != FLOOD && member.get(cur, v),
-                            |v| received.get(m, v),
-                            |v| relayed.get(m, v),
-                        )
-                    {
-                        continue;
-                    }
-                    let target = (0..packing.num_trees())
-                        .find(|&t| alive[t] && holders.iter().any(|&v| eligible(t, v)))
-                        .unwrap_or(FLOOD);
-                    tree_of[m] = target;
-                    reassigned += 1;
-                    for &v in &holders {
-                        if eligible(target, v) {
-                            relayed.clear(m, v);
-                            pending[v].push(Reverse(m as u32));
-                            pending_entries += 1;
-                            if !queued[v] {
-                                queued[v] = true;
-                                worklist.push(v as u32);
-                            }
-                        }
-                    }
-                }
-                lost_messages += lost;
-                repair_events += reassigned;
-                // Arrivals whose pending relays were seeded while they
-                // slept (a dormant origin, or a reseed above) rejoin
-                // the worklist now.
-                for &v in ft.woke() {
-                    if !pending[v].is_empty() && !queued[v] {
-                        queued[v] = true;
-                        worklist.push(v as u32);
-                    }
-                }
-                degradation.push(DegradationSample {
-                    round: rounds,
-                    faults_fired: ft.next,
-                    live_vertices: ft.live,
-                    surviving_trees: alive.iter().filter(|&&a| a).count(),
-                    incomplete_messages: incomplete,
-                    reassigned_messages: reassigned,
-                    lost_messages: lost,
-                });
-                if incomplete == 0 {
-                    rounds -= 1;
-                    break;
-                }
-            }
+impl GreedyRelay {
+    pub(crate) fn new(n: usize) -> Self {
+        GreedyRelay {
+            heaps: (0..n).map(|_| BinaryHeap::new()).collect(),
+            entries: 0,
+            peak: 0,
         }
-        // Phase 1 — choices, from the state at round start: each active
-        // vertex pops its lowest-indexed pending message, lazily
-        // discarding messages that completed in earlier rounds (the old
-        // scan skipped them the same way) and, on the fault path,
-        // entries this vertex already relayed (reseed duplicates).
-        // Dormant vertices sit out (their heaps keep the entries).
-        std::mem::swap(&mut frontier, &mut worklist);
-        relays.clear();
-        for &v in &frontier {
-            queued[v as usize] = false;
-            if tracker
-                .as_ref()
-                .is_some_and(|t| t.is_dead(v as usize) || t.is_dormant(v as usize))
-            {
-                continue;
-            }
-            while let Some(&Reverse(m)) = pending[v as usize].peek() {
-                pending[v as usize].pop();
-                pending_entries -= 1;
-                if remaining[m as usize] > 0
-                    && relayed
-                        .as_ref()
-                        .is_none_or(|r| !r.get(m as usize, v as usize))
-                {
-                    relays.push((v, m));
-                    break;
-                }
-            }
-        }
-        // Phase 2 — apply all relays; receptions push next-round work.
-        let mut flooded = false;
-        for &(v, m) in &relays {
-            schedule_digest =
-                schedule_digest.wrapping_add(relay_hash(rounds, v as usize, m as usize));
-            if let Some(r) = relayed.as_mut() {
-                r.set(m as usize, v as usize);
-            }
-            let tree = tree_of[m as usize];
-            flooded |= tree == FLOOD;
-            for &u in g.neighbors(v as usize) {
-                if tracker.as_ref().is_some_and(|t| !t.ok_edge(v as usize, u)) {
-                    continue;
-                }
-                if !received.get(m as usize, u) {
-                    received.set(m as usize, u);
-                    remaining[m as usize] -= 1;
-                    if remaining[m as usize] == 0 {
-                        incomplete -= 1;
-                    }
-                    if tree == FLOOD || member.get(tree, u) {
-                        pending[u].push(Reverse(m));
-                        pending_entries += 1;
-                        if !queued[u] {
-                            queued[u] = true;
-                            worklist.push(u as u32);
-                        }
-                    }
-                } else {
-                    wasted_bandwidth += 1;
-                }
-            }
-        }
-        flood_rounds += flooded as usize;
-        peak_pending = peak_pending.max(pending_entries);
-        // Vertices that still hold pending relays stay on the frontier.
-        for &v in &frontier {
-            if !pending[v as usize].is_empty() && !queued[v as usize] {
-                queued[v as usize] = true;
-                worklist.push(v);
-            }
-        }
-        frontier.clear();
-        if relays.is_empty() && incomplete > 0 {
-            // The only legitimate idle state is awaiting a scheduled
-            // arrival (e.g. every present vertex is served and the
-            // stragglers have not arrived yet). Idle rounds carry no
-            // relays, so jumping to the eve of the next event leaves
-            // the digest and round count exactly as if we had spun.
-            let Some(r) = tracker.as_ref().and_then(|t| t.next_event_round()) else {
-                panic!(
-                    "gossip schedule stalled: a message can no longer make progress \
-                     (is some tree not dominating, or did faults disconnect the survivors?)"
-                );
-            };
-            rounds = rounds.max(r.saturating_sub(1));
-        }
-    }
-    // Heap entries are u32s: count them in 64-bit words (2 per word).
-    let peak_state_words = received.words() + member.words() + peak_pending.div_ceil(2);
-    ScheduleOutcome {
-        rounds,
-        schedule_digest,
-        peak_state_words,
-        degradation,
-        lost_messages,
-        wasted_bandwidth,
-        repair_events,
-        flood_rounds,
     }
 }
 
-/// One (vertex, tree) lane of the weighted credit scheduler: the trees
-/// through a vertex each hold their own min-heap of pending messages and
-/// a credit accumulator. Lanes are kept sorted by tree id so credit
-/// accrual and the arg-max walk visit trees in ascending-id order — the
-/// float-op order the reference oracle reproduces exactly.
+impl RelayPolicy for GreedyRelay {
+    #[inline]
+    fn push(&mut self, v: usize, _tree: usize, m: u32) {
+        self.heaps[v].push(Reverse(m));
+        self.entries += 1;
+    }
+
+    fn clear(&mut self, v: usize) {
+        self.entries -= self.heaps[v].len();
+        self.heaps[v].clear();
+    }
+
+    #[inline]
+    fn has_pending(&self, v: usize) -> bool {
+        !self.heaps[v].is_empty()
+    }
+
+    #[inline]
+    fn pick(&mut self, v: usize, stale: impl Fn(u32) -> bool) -> Option<u32> {
+        while let Some(Reverse(m)) = self.heaps[v].pop() {
+            self.entries -= 1;
+            if !stale(m) {
+                return Some(m);
+            }
+        }
+        None
+    }
+
+    fn sample_peak(&mut self) {
+        self.peak = self.peak.max(self.entries);
+    }
+
+    /// Heap entries are u32s: 2 per 64-bit word.
+    fn peak_words(&self) -> usize {
+        self.peak.div_ceil(2)
+    }
+}
+
+/// One (vertex, tree) lane of [`WeightedRelay`]: the trees through a
+/// vertex each hold their own min-heap of pending messages and a credit
+/// accumulator. Lanes are kept sorted by tree id (the flood lane, keyed
+/// [`FLOOD`], sorts last) so credit accrual and the arg-max walk visit
+/// trees in ascending-id order — the float-op order the reference oracle
+/// reproduces exactly.
 struct TreeLane {
-    tree: u32,
+    tree: usize,
     credit: f64,
     heap: BinaryHeap<Reverse<u32>>,
 }
 
-/// The weighted time-sharing schedule of the fractional regime
-/// ([`Sharing::Weighted`]): per round, every tree with an eligible
-/// pending message at a vertex earns `x_τ` credit; the highest-credit
-/// tree (ties to the lowest tree id) relays its lowest-indexed pending
-/// message and is charged the round's total accrual across the vertex's
-/// active trees. A lane whose heap has drained *and* whose tree has no
-/// incomplete message left anywhere retires — nothing can ever refill
-/// it, so keeping it would only let a finished tree's credit shadow
-/// live ones (and inflate the state peak).
-fn weighted_schedule(
-    g: &Graph,
-    packing: &DomTreePacking,
-    member: &BitRows,
-    tree_of: &mut [usize],
-    origins: &[MessageOrigin],
-    faults: Option<&FaultPlan>,
-) -> ScheduleOutcome {
-    let n = g.n();
-    let nmsg = origins.len();
-    let num_trees = packing.num_trees();
-    let weight: Vec<f64> = packing.trees.iter().map(|t| t.weight).collect();
-    // Slot per tree plus one for the flood fallback.
-    let tid = |t: usize| if t == FLOOD { num_trees } else { t };
-    let lane_key = |t: usize| if t == FLOOD { FLOOD_LANE } else { t as u32 };
-    let mut tree_incomplete = vec![0usize; num_trees + 1];
-    let mut received = BitRows::new(nmsg, n);
-    let mut remaining: Vec<usize> = vec![n - 1; nmsg];
-    let mut lanes: Vec<Vec<TreeLane>> = (0..n).map(|_| Vec::new()).collect();
-    let mut live_lanes = 0usize;
-    let mut worklist: Vec<u32> = Vec::new();
-    let mut queued: Vec<bool> = vec![false; n];
-    let mut incomplete = 0usize;
-    let mut pending_entries = 0usize;
+/// [`Sharing::Weighted`], the credit scheduler of the fractional regime:
+/// per round, every tree with an eligible pending message at a vertex
+/// earns `x_τ` credit (the flood lane earns 1); the highest-credit tree
+/// (ties to the lowest tree id) relays its lowest-indexed pending message
+/// and is charged the round's total accrual across the vertex's active
+/// trees. A lane whose heap has drained *and* whose tree has no
+/// incomplete message left anywhere retires — nothing can ever refill it,
+/// so keeping it would only let a finished tree's credit shadow live ones
+/// (and inflate the state peak).
+pub(crate) struct WeightedRelay {
+    weight: Vec<f64>,
+    lanes: Vec<Vec<TreeLane>>,
+    /// Incomplete messages per tree; the flood fallback takes the last
+    /// slot.
+    tree_incomplete: Vec<usize>,
+    live_lanes: usize,
+    peak_lanes: usize,
+    entries: usize,
+    peak: usize,
+}
 
-    // Pushes message `m` into vertex `v`'s lane for its tree, creating
-    // the lane on first use (lanes stay sorted by tree id; the flood
-    // lane's key sorts last).
-    fn push_pending(
-        lanes: &mut [Vec<TreeLane>],
-        live_lanes: &mut usize,
-        v: usize,
-        tree: u32,
-        m: u32,
-    ) {
-        let vl = &mut lanes[v];
+impl WeightedRelay {
+    pub(crate) fn new(n: usize, weight: Vec<f64>) -> Self {
+        WeightedRelay {
+            tree_incomplete: vec![0; weight.len() + 1],
+            weight,
+            lanes: (0..n).map(|_| Vec::new()).collect(),
+            live_lanes: 0,
+            peak_lanes: 0,
+            entries: 0,
+            peak: 0,
+        }
+    }
+}
+
+impl RelayPolicy for WeightedRelay {
+    fn push(&mut self, v: usize, tree: usize, m: u32) {
+        let vl = &mut self.lanes[v];
         let i = match vl.binary_search_by_key(&tree, |l| l.tree) {
             Ok(i) => i,
             Err(i) => {
@@ -1103,39 +918,157 @@ fn weighted_schedule(
                         heap: BinaryHeap::new(),
                     },
                 );
-                *live_lanes += 1;
+                self.live_lanes += 1;
                 i
             }
         };
         vl[i].heap.push(Reverse(m));
+        self.entries += 1;
     }
 
+    fn clear(&mut self, v: usize) {
+        for l in &self.lanes[v] {
+            self.entries -= l.heap.len();
+        }
+        self.live_lanes -= self.lanes[v].len();
+        self.lanes[v].clear();
+    }
+
+    fn has_pending(&self, v: usize) -> bool {
+        self.lanes[v].iter().any(|l| !l.heap.is_empty())
+    }
+
+    fn pick(&mut self, v: usize, stale: impl Fn(u32) -> bool) -> Option<u32> {
+        // Stale heads go first, then drained lanes of finished trees
+        // retire; every remaining active lane earns its weight in
+        // ascending tree-id order and the highest credit wins the slot.
+        let num_trees = self.weight.len();
+        self.lanes[v].retain_mut(|l| {
+            while let Some(&Reverse(m)) = l.heap.peek() {
+                if !stale(m) {
+                    break;
+                }
+                l.heap.pop();
+                self.entries -= 1;
+            }
+            let keep = !l.heap.is_empty() || self.tree_incomplete[l.tree.min(num_trees)] > 0;
+            if !keep {
+                self.live_lanes -= 1;
+            }
+            keep
+        });
+        let vl = &mut self.lanes[v];
+        let mut accrued = 0.0f64;
+        let mut best: Option<usize> = None;
+        for i in 0..vl.len() {
+            if vl[i].heap.is_empty() {
+                continue;
+            }
+            let w = self.weight.get(vl[i].tree).copied().unwrap_or(1.0);
+            vl[i].credit += w;
+            accrued += w;
+            best = match best {
+                Some(b) if vl[i].credit <= vl[b].credit => Some(b),
+                _ => Some(i),
+            };
+        }
+        let b = best?;
+        vl[b].credit -= accrued;
+        let Reverse(m) = vl[b].heap.pop().expect("active lane has a message");
+        self.entries -= 1;
+        Some(m)
+    }
+
+    fn opened(&mut self, tree: usize) {
+        self.tree_incomplete[tree.min(self.weight.len())] += 1;
+    }
+
+    fn closed(&mut self, tree: usize) {
+        self.tree_incomplete[tree.min(self.weight.len())] -= 1;
+    }
+
+    fn sample_peak(&mut self) {
+        self.peak = self.peak.max(self.entries);
+        self.peak_lanes = self.peak_lanes.max(self.live_lanes);
+    }
+
+    /// Heap entries are u32s (2 per word); a lane adds a tree id, a
+    /// credit, and a heap header (~5 words). Lanes retire as their trees
+    /// finish, so the lane term is the concurrent peak, not the total
+    /// ever created.
+    fn peak_words(&self) -> usize {
+        self.peak.div_ceil(2) + 5 * self.peak_lanes
+    }
+}
+
+/// The fault side of a [`tree_schedule`]: the plan's live view, and how
+/// each fault wave decides which trees are intact.
+pub(crate) struct Faults<'p, F> {
+    pub(crate) tracker: FaultTracker<'p>,
+    /// Called once per fault wave, after the dead purge and before the
+    /// repair pass, with `(tracker, member, round, flood_rounds so far)`:
+    /// applies whatever the wave changes in `member` and returns which
+    /// trees are intact. The repair pass moves messages only onto those.
+    pub(crate) certify: F,
+    /// The churn re-admission rule: a message on the flood fallback moves
+    /// back onto the lowest-id intact tree holding it even while the
+    /// flood still covers. Without it a flooding message stays put until
+    /// the flood stops covering.
+    pub(crate) readmit_from_flood: bool,
+}
+
+/// The one round loop behind every tree schedule (Corollary A.1): each
+/// message rides `tree_of[m]`, and per round each vertex relays the one
+/// message `policy` picks, decided from the state at round start, with
+/// deliveries applied in ascending sender order afterwards.
+///
+/// Fault-free (`faults == None`) a (message, vertex) pair is queued at
+/// most once — on the vertex's 0→1 reception, members only, plus the
+/// origin hand-off — so popping doubles as the `relayed` table. Under a
+/// plan, each wave fires at the start of its round: dead vertices drop
+/// their queues and stop counting toward delivery, then one repair pass
+/// reassigns every message whose assignment no longer covers the needy
+/// vertices — to the lowest-id intact tree a holder can relay on, or to
+/// the [`FLOOD`] fallback — and reseeds its eligible holders, which the
+/// relay filter then tracks explicitly. The same pass serves arrivals: a
+/// message complete among the old population has every holder relayed,
+/// so a still-needy newcomer gets it reseeded onto a tree that dominates
+/// it.
+pub(crate) fn tree_schedule<P, F>(
+    g: &Graph,
+    member: &mut BitRows,
+    tree_of: &mut [usize],
+    origins: &[MessageOrigin],
+    mut policy: P,
+    mut faults: Option<Faults<'_, F>>,
+) -> ScheduleOutcome
+where
+    P: RelayPolicy,
+    F: FnMut(&FaultTracker<'_>, &mut BitRows, usize, usize) -> Vec<bool>,
+{
+    let n = g.n();
+    let nmsg = origins.len();
+    let mut received = BitRows::new(nmsg, n);
+    let mut remaining: Vec<usize> = vec![n - 1; nmsg];
+    let mut worklist: Vec<u32> = Vec::new();
+    let mut queued: Vec<bool> = vec![false; n];
+    let mut incomplete = 0usize;
     for (m, &origin) in origins.iter().enumerate() {
         received.set(m, origin);
         if remaining[m] > 0 {
             incomplete += 1;
-            tree_incomplete[tid(tree_of[m])] += 1;
+            policy.opened(tree_of[m]);
         }
-        push_pending(
-            &mut lanes,
-            &mut live_lanes,
-            origin,
-            tree_of[m] as u32,
-            m as u32,
-        );
-        pending_entries += 1;
+        policy.push(origin, tree_of[m], m as u32);
         if !queued[origin] {
             queued[origin] = true;
             worklist.push(origin as u32);
         }
     }
-    let mut peak_pending = pending_entries;
-    let mut peak_lanes = live_lanes;
+    policy.sample_peak();
 
-    // Fault-path state; `None` everywhere on the (digest-pinned)
-    // fault-free path.
-    let mut tracker = faults.map(|p| FaultTracker::new(p, n));
-    let mut relayed = faults.map(|_| BitRows::new(nmsg, n));
+    // Fault-path state; `None` on the (digest-pinned) fault-free path.
+    let mut relayed = faults.as_ref().map(|_| BitRows::new(nmsg, n));
     let mut degradation: Vec<DegradationSample> = Vec::new();
     let mut lost_messages = 0usize;
     let mut wasted_bandwidth = 0usize;
@@ -1154,89 +1087,88 @@ fn weighted_schedule(
             rounds <= round_limit,
             "gossip schedule failed to complete within {round_limit} rounds"
         );
-        // Phase 0 — faults scheduled at this round fire before any
-        // relay choice is made (mirrors `greedy_schedule`).
-        if let Some(ft) = tracker.as_mut() {
+        // Phase 0 — faults scheduled at this round fire before any relay
+        // choice is made.
+        if let Some(fs) = faults.as_mut() {
             newly_dead.clear();
-            if ft.advance(rounds, &mut newly_dead) {
+            if fs.tracker.advance(rounds, &mut newly_dead) {
                 let relayed = relayed.as_mut().expect("fault path tracks relays");
                 for &v in &newly_dead {
-                    for l in &lanes[v] {
-                        pending_entries -= l.heap.len();
-                    }
-                    live_lanes -= lanes[v].len();
-                    lanes[v].clear();
+                    policy.clear(v);
                 }
-                for m in 0..nmsg {
-                    if remaining[m] == 0 {
+                for (m, rem) in remaining.iter_mut().enumerate() {
+                    if *rem == 0 {
                         continue;
                     }
                     for &v in &newly_dead {
                         if !received.get(m, v) {
-                            remaining[m] -= 1;
-                            if remaining[m] == 0 {
+                            *rem -= 1;
+                            if *rem == 0 {
                                 incomplete -= 1;
-                                tree_incomplete[tid(tree_of[m])] -= 1;
+                                policy.closed(tree_of[m]);
                             }
                         }
                     }
                 }
-                let alive: Vec<bool> = packing
-                    .trees
-                    .iter()
-                    .enumerate()
-                    .map(|(t, tree)| ft.tree_ok(g, t, tree, member))
-                    .collect();
+                let alive = (fs.certify)(&fs.tracker, member, rounds, flood_rounds);
+                let ft = &fs.tracker;
+                let member = &*member;
                 let mut reassigned = 0usize;
                 let mut lost = 0usize;
                 for m in 0..nmsg {
                     if remaining[m] == 0 {
                         continue;
                     }
+                    // Dormant holders count (a dormant origin's message
+                    // is not lost — it arrives with the vertex); their
+                    // reseeded entries wait in the queue until arrival.
                     let holders: Vec<usize> = (0..n)
                         .filter(|&v| !ft.is_dead(v) && received.get(m, v))
                         .collect();
+                    let cur = tree_of[m];
                     if holders.is_empty() {
                         remaining[m] = 0;
                         incomplete -= 1;
-                        tree_incomplete[tid(tree_of[m])] -= 1;
+                        policy.closed(cur);
                         lost += 1;
                         continue;
                     }
                     let eligible =
                         |t: usize, v: usize| t == FLOOD || member.get(t, v) || v == origins[m];
-                    let cur = tree_of[m];
-                    if (cur == FLOOD || alive[cur])
-                        && assignment_still_covers(
+                    let covers = |t: usize| {
+                        assignment_still_covers(
                             g,
                             ft,
                             origins[m],
-                            cur == FLOOD,
-                            |v| cur != FLOOD && member.get(cur, v),
+                            t == FLOOD,
+                            |v| t != FLOOD && member.get(t, v),
                             |v| received.get(m, v),
                             |v| relayed.get(m, v),
                         )
-                    {
-                        continue;
-                    }
-                    let target = (0..num_trees)
-                        .find(|&t| alive[t] && holders.iter().any(|&v| eligible(t, v)))
-                        .unwrap_or(FLOOD);
-                    tree_incomplete[tid(cur)] -= 1;
-                    tree_incomplete[tid(target)] += 1;
-                    tree_of[m] = target;
+                    };
+                    let target = || {
+                        (0..alive.len())
+                            .find(|&t| alive[t] && holders.iter().any(|&v| eligible(t, v)))
+                    };
+                    let next = if cur == FLOOD && fs.readmit_from_flood {
+                        match target() {
+                            Some(t) => t,
+                            None if covers(FLOOD) => continue,
+                            None => FLOOD, // re-flood (e.g. an arrival needs redelivery)
+                        }
+                    } else if (cur == FLOOD || alive[cur]) && covers(cur) {
+                        continue; // the assignment still reaches every needy vertex
+                    } else {
+                        target().unwrap_or(FLOOD)
+                    };
+                    policy.closed(cur);
+                    policy.opened(next);
+                    tree_of[m] = next;
                     reassigned += 1;
                     for &v in &holders {
-                        if eligible(target, v) {
+                        if eligible(next, v) {
                             relayed.clear(m, v);
-                            push_pending(
-                                &mut lanes,
-                                &mut live_lanes,
-                                v,
-                                lane_key(target),
-                                m as u32,
-                            );
-                            pending_entries += 1;
+                            policy.push(v, next, m as u32);
                             if !queued[v] {
                                 queued[v] = true;
                                 worklist.push(v as u32);
@@ -1246,18 +1178,18 @@ fn weighted_schedule(
                 }
                 lost_messages += lost;
                 repair_events += reassigned;
-                // Arrivals with lane entries seeded while they slept
-                // rejoin the worklist now (mirrors `greedy_schedule`).
+                // Arrivals whose relays were queued while they slept (a
+                // dormant origin, or a reseed above) rejoin the worklist.
                 for &v in ft.woke() {
-                    if !queued[v] && lanes[v].iter().any(|l| !l.heap.is_empty()) {
+                    if !queued[v] && policy.has_pending(v) {
                         queued[v] = true;
                         worklist.push(v as u32);
                     }
                 }
                 degradation.push(DegradationSample {
                     round: rounds,
-                    faults_fired: ft.next,
-                    live_vertices: ft.live,
+                    faults_fired: ft.fired(),
+                    live_vertices: ft.live(),
                     surviving_trees: alive.iter().filter(|&&a| a).count(),
                     incomplete_messages: incomplete,
                     reassigned_messages: reassigned,
@@ -1269,123 +1201,76 @@ fn weighted_schedule(
                 }
             }
         }
-        // Phase 1 — choices, from the state at round start: every active
-        // tree at a vertex (one with an eligible pending message, after
-        // lazily discarding messages that completed in earlier rounds —
-        // and, on the fault path, entries this vertex already relayed)
-        // earns its weight in credit, in ascending tree-id order; the
-        // highest-credit active tree wins the relay slot and is charged
-        // the round's total accrual. Drained lanes of finished trees
-        // retire here. Dormant vertices sit out until their arrival.
+        // Phase 1 — choices, from the state at round start. Dormant
+        // vertices sit out (their queues keep the entries until arrival).
         std::mem::swap(&mut frontier, &mut worklist);
         relays.clear();
         for &v in &frontier {
-            queued[v as usize] = false;
-            if tracker
+            let v = v as usize;
+            queued[v] = false;
+            if faults
                 .as_ref()
-                .is_some_and(|t| t.is_dead(v as usize) || t.is_dormant(v as usize))
+                .is_some_and(|fs| fs.tracker.is_dead(v) || fs.tracker.is_dormant(v))
             {
                 continue;
             }
-            let vl = &mut lanes[v as usize];
-            vl.retain_mut(|l| {
-                while let Some(&Reverse(m)) = l.heap.peek() {
-                    let stale = remaining[m as usize] == 0
-                        || relayed
-                            .as_ref()
-                            .is_some_and(|r| r.get(m as usize, v as usize));
-                    if !stale {
-                        break;
-                    }
-                    l.heap.pop();
-                    pending_entries -= 1;
-                }
-                let t = if l.tree == FLOOD_LANE {
-                    num_trees
-                } else {
-                    l.tree as usize
-                };
-                if l.heap.is_empty() && tree_incomplete[t] == 0 {
-                    live_lanes -= 1;
-                    false
-                } else {
-                    true
-                }
-            });
-            let mut accrued = 0.0f64;
-            let mut best: Option<usize> = None;
-            for i in 0..vl.len() {
-                if vl[i].heap.is_empty() {
-                    continue;
-                }
-                let w = if vl[i].tree == FLOOD_LANE {
-                    1.0
-                } else {
-                    weight[vl[i].tree as usize]
-                };
-                vl[i].credit += w;
-                accrued += w;
-                best = match best {
-                    Some(b) if vl[i].credit <= vl[b].credit => Some(b),
-                    _ => Some(i),
-                };
-            }
-            if let Some(b) = best {
-                vl[b].credit -= accrued;
-                let Reverse(m) = vl[b].heap.pop().expect("active lane has a message");
-                pending_entries -= 1;
-                relays.push((v, m));
+            let stale = |m: u32| {
+                remaining[m as usize] == 0 || relayed.as_ref().is_some_and(|r| r.get(m as usize, v))
+            };
+            if let Some(m) = policy.pick(v, stale) {
+                relays.push((v as u32, m));
             }
         }
-        // Phase 2 — apply all relays; receptions push next-round work.
+        // Phase 2 — apply all relays; receptions queue next-round work.
         let mut flooded = false;
         for &(v, m) in &relays {
-            schedule_digest =
-                schedule_digest.wrapping_add(relay_hash(rounds, v as usize, m as usize));
+            let (v, m) = (v as usize, m as usize);
+            schedule_digest = schedule_digest.wrapping_add(relay_hash(rounds, v, m));
             if let Some(r) = relayed.as_mut() {
-                r.set(m as usize, v as usize);
+                r.set(m, v);
             }
-            let tree = tree_of[m as usize];
+            let tree = tree_of[m];
             flooded |= tree == FLOOD;
-            for &u in g.neighbors(v as usize) {
-                if tracker.as_ref().is_some_and(|t| !t.ok_edge(v as usize, u)) {
+            for &u in g.neighbors(v) {
+                if faults.as_ref().is_some_and(|fs| !fs.tracker.ok_edge(v, u)) {
                     continue;
                 }
-                if !received.get(m as usize, u) {
-                    received.set(m as usize, u);
-                    remaining[m as usize] -= 1;
-                    if remaining[m as usize] == 0 {
-                        incomplete -= 1;
-                        tree_incomplete[tid(tree)] -= 1;
-                    }
-                    if tree == FLOOD || member.get(tree, u) {
-                        push_pending(&mut lanes, &mut live_lanes, u, lane_key(tree), m);
-                        pending_entries += 1;
-                        if !queued[u] {
-                            queued[u] = true;
-                            worklist.push(u as u32);
-                        }
-                    }
-                } else {
+                if received.get(m, u) {
                     wasted_bandwidth += 1;
+                    continue;
+                }
+                received.set(m, u);
+                remaining[m] -= 1;
+                if remaining[m] == 0 {
+                    incomplete -= 1;
+                    policy.closed(tree);
+                }
+                if tree == FLOOD || member.get(tree, u) {
+                    policy.push(u, tree, m as u32);
+                    if !queued[u] {
+                        queued[u] = true;
+                        worklist.push(u as u32);
+                    }
                 }
             }
         }
         flood_rounds += flooded as usize;
-        peak_pending = peak_pending.max(pending_entries);
-        peak_lanes = peak_lanes.max(live_lanes);
+        policy.sample_peak();
         // Vertices that still hold pending relays stay on the frontier.
         for &v in &frontier {
-            if !queued[v as usize] && lanes[v as usize].iter().any(|l| !l.heap.is_empty()) {
+            if !queued[v as usize] && policy.has_pending(v as usize) {
                 queued[v as usize] = true;
                 worklist.push(v);
             }
         }
         frontier.clear();
         if relays.is_empty() && incomplete > 0 {
-            // Idle only while a scheduled arrival is still due; jump to
-            // its eve (digest-neutral, mirrors `greedy_schedule`).
-            let Some(r) = tracker.as_ref().and_then(|t| t.next_event_round()) else {
+            // The only legitimate idle state is awaiting a scheduled
+            // arrival (e.g. every present vertex is served and the
+            // stragglers have not arrived yet). Idle rounds carry no
+            // relays, so jumping to the eve of the next event leaves the
+            // digest and round count exactly as if we had spun.
+            let Some(r) = faults.as_ref().and_then(|fs| fs.tracker.next_event_round()) else {
                 panic!(
                     "gossip schedule stalled: a message can no longer make progress \
                      (is some tree not dominating, or did faults disconnect the survivors?)"
@@ -1394,16 +1279,10 @@ fn weighted_schedule(
             rounds = rounds.max(r.saturating_sub(1));
         }
     }
-    // Heap entries are u32s (2 per word); a lane adds a tree id, a
-    // credit, and a heap header (~5 words). Lanes retire as their trees
-    // finish, so the lane term is the concurrent peak, not the total
-    // ever created.
-    let peak_state_words =
-        received.words() + member.words() + peak_pending.div_ceil(2) + 5 * peak_lanes;
     ScheduleOutcome {
         rounds,
         schedule_digest,
-        peak_state_words,
+        peak_state_words: received.words() + member.words() + policy.peak_words(),
         degradation,
         lost_messages,
         wasted_bandwidth,

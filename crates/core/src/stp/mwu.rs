@@ -28,7 +28,7 @@
 use crate::packing::{SpanTreePacking, WeightedSpanTree};
 use decomp_graph::mst::minimum_spanning_forest;
 use decomp_graph::Graph;
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 /// Configuration for [`fractional_stp_mwu`].
 #[derive(Clone, Debug)]
@@ -117,7 +117,7 @@ impl MwuDriver {
         initial_tree: Vec<usize>,
         mut mst_oracle: impl FnMut(&[f64], &[f64], &[f64]) -> Result<(Vec<usize>, f64, f64), E>,
     ) -> Result<MwuOutcome, E> {
-        let mut collection: HashMap<Vec<usize>, f64> = HashMap::new();
+        let mut collection: BTreeMap<Vec<usize>, f64> = BTreeMap::new();
         let mut x = vec![0.0f64; self.m];
         for &e in &initial_tree {
             x[e] = 1.0;
@@ -126,7 +126,7 @@ impl MwuDriver {
         let mut iterations = Vec::new();
         let mut terminated = false;
 
-        let blend = |collection: &mut HashMap<Vec<usize>, f64>,
+        let blend = |collection: &mut BTreeMap<Vec<usize>, f64>,
                      x: &mut Vec<f64>,
                      tree: Vec<usize>,
                      gamma: f64| {
@@ -205,7 +205,9 @@ fn safe_ratio(a: f64, b: f64) -> f64 {
 
 /// Raw driver outcome, converted by the public entry points.
 pub(crate) struct MwuOutcome {
-    pub collection: HashMap<Vec<usize>, f64>,
+    /// Tree weights keyed by edge-index list. Ordered, so the packing's
+    /// tree order (and the float sum in `size()`) is the same every run.
+    pub collection: BTreeMap<Vec<usize>, f64>,
     pub final_max_x: f64,
     pub final_max_z: f64,
     pub iterations: Vec<MwuIteration>,
@@ -395,5 +397,22 @@ mod tests {
             r.packing.size(),
             implied
         );
+    }
+
+    #[test]
+    fn identical_calls_return_identical_packings() {
+        let g = generators::harary(8, 40);
+        let trees = |r: &MwuReport| -> Vec<(Vec<usize>, u64)> {
+            let ts = r.packing.trees.iter();
+            ts.map(|t| (t.edge_indices.clone(), t.weight.to_bits()))
+                .collect()
+        };
+        let config = MwuConfig::default();
+        let (a, b) = (
+            fractional_stp_mwu(&g, 8, &config),
+            fractional_stp_mwu(&g, 8, &config),
+        );
+        assert_eq!(trees(&a), trees(&b), "tree order must not vary run to run");
+        assert_eq!(a.packing.size().to_bits(), b.packing.size().to_bits());
     }
 }
