@@ -24,7 +24,7 @@
 //! streams (the model's private coins), which is what makes the run
 //! bit-identical across engines.
 
-use crate::gossip::{GossipConfig, Regime, TreeChoice};
+use crate::gossip::{BitRows, GossipConfig, Regime, TreeChoice};
 use crate::rlnc::{symbol_word, RlncDecoder};
 use decomp_congest::{
     EngineKind, Fault, FaultPlan, Inbox, Message, Model, NodeCtx, NodeProgram, RunStats,
@@ -34,33 +34,79 @@ use decomp_core::packing::DomTreePacking;
 use decomp_graph::{Graph, GrowableGraph, NodeId};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::collections::VecDeque;
 
 struct GossipProgram {
     /// Sorted tree ids this node belongs to.
     trees: Vec<u32>,
     /// Tokens to relay, FIFO: (msg id, tree id).
-    queue: std::collections::VecDeque<(u64, u64)>,
+    queue: VecDeque<(u64, u64)>,
     /// Message ids already queued/relayed here (keyed on the message
     /// alone — a message rides exactly one tree, chosen at its origin,
     /// so one relay per node covers it). Origins enter at injection
     /// time: an origin inside its own tree must not re-queue its
-    /// message when the broadcast echoes back via a neighbor.
-    seen: std::collections::HashSet<u64>,
+    /// message when the broadcast echoes back via a neighbor. One row
+    /// of message-id bits, as is `received`.
+    seen: BitRows,
     /// All message ids received.
-    received: std::collections::HashSet<u64>,
+    received: BitRows,
+    /// Number of ids in `received`.
+    held: usize,
     /// Initial injections for messages originating here.
-    inject: std::collections::VecDeque<(u64, u64)>,
+    inject: VecDeque<(u64, u64)>,
     /// Deliveries of messages this node already held
     /// ([`RunStats::wasted_bandwidth`]).
     wasted: usize,
 }
 
 impl GossipProgram {
+    /// A node of the sorted `trees` that first broadcasts its `inject`
+    /// tokens, over message ids `0..nmsg`.
+    fn new(trees: Vec<u32>, inject: VecDeque<(u64, u64)>, nmsg: usize) -> Self {
+        let mut seen = BitRows::new(1, nmsg);
+        for &(m, _) in &inject {
+            seen.set(0, m as usize);
+        }
+        GossipProgram {
+            trees,
+            queue: VecDeque::new(),
+            seen,
+            received: BitRows::new(1, nmsg),
+            held: 0,
+            inject,
+            wasted: 0,
+        }
+    }
+
+    /// One program per node: `membership[v]` and `injections[v]`.
+    fn per_node(
+        membership: &[Vec<u32>],
+        injections: Vec<VecDeque<(u64, u64)>>,
+        nmsg: usize,
+    ) -> Vec<Self> {
+        membership
+            .iter()
+            .zip(injections)
+            .map(|(trees, inject)| GossipProgram::new(trees.clone(), inject, nmsg))
+            .collect()
+    }
+
+    /// Records `msg` as received; returns whether it is new here.
+    fn receive(&mut self, msg: u64) -> bool {
+        if self.received.get(0, msg as usize) {
+            return false;
+        }
+        self.received.set(0, msg as usize);
+        self.held += 1;
+        true
+    }
+
     fn accept(&mut self, msg: u64, tree: u64) {
-        if !self.received.insert(msg) {
+        if !self.receive(msg) {
             self.wasted += 1;
         }
-        if self.trees.binary_search(&(tree as u32)).is_ok() && self.seen.insert(msg) {
+        if self.trees.binary_search(&(tree as u32)).is_ok() && !self.seen.get(0, msg as usize) {
+            self.seen.set(0, msg as usize);
             self.queue.push_back((msg, tree));
         }
     }
@@ -72,7 +118,7 @@ impl NodeProgram for GossipProgram {
             self.accept(m.word(0), m.word(1));
         }
         if let Some((msg, tree)) = self.inject.pop_front() {
-            self.received.insert(msg);
+            self.receive(msg);
             ctx.broadcast(Message::from_words([msg, tree]));
             return;
         }
@@ -106,12 +152,19 @@ struct RlncGossipProgram {
     sizes: Vec<usize>,
     degree: usize,
     decoders: Vec<RlncDecoder>,
-    /// Per generation: neighbors that have broadcast it at full rank.
-    nbr_complete: Vec<std::collections::HashSet<NodeId>>,
+    /// Per generation: sorted neighbors that have broadcast it at full
+    /// rank.
+    nbr_complete: Vec<Vec<NodeId>>,
     /// Per generation: whether this node has broadcast it at full rank.
     announced: Vec<bool>,
     /// Non-innovative receptions ([`RunStats::wasted_bandwidth`]).
     wasted: usize,
+    /// Per-round scratch: a received packet, an outgoing combination,
+    /// its wire words, and the generations worth relaying.
+    pkt: Vec<u8>,
+    out: Vec<u8>,
+    words: Vec<u64>,
+    sendable: Vec<usize>,
 }
 
 impl RlncGossipProgram {
@@ -123,16 +176,19 @@ impl RlncGossipProgram {
                 .iter()
                 .map(|&s| RlncDecoder::new(s, RLNC_PAYLOAD))
                 .collect(),
-            nbr_complete: vec![Default::default(); sizes.len()],
+            nbr_complete: vec![Vec::new(); sizes.len()],
             announced: vec![false; sizes.len()],
             wasted: 0,
+            pkt: Vec::new(),
+            out: Vec::new(),
+            words: Vec::new(),
+            sendable: Vec::new(),
         }
     }
 }
 
 impl NodeProgram for RlncGossipProgram {
     fn round(&mut self, ctx: &mut NodeCtx<'_>, inbox: &Inbox<'_>) {
-        let mut pkt = Vec::new();
         for (from, m) in inbox {
             // Wire format: word 0 = generation | sender rank << 32, then
             // ⌈size/8⌉ words of LE-packed coefficient bytes, then the
@@ -142,44 +198,48 @@ impl NodeProgram for RlncGossipProgram {
             let sender_rank = (w0 >> 32) as usize;
             let size = self.sizes[gen];
             if sender_rank == size {
-                self.nbr_complete[gen].insert(from);
+                let done = &mut self.nbr_complete[gen];
+                if let Err(pos) = done.binary_search(&from) {
+                    done.insert(pos, from);
+                }
             }
+            let pkt = &mut self.pkt;
             pkt.clear();
             pkt.resize(size + RLNC_PAYLOAD, 0);
             for (i, b) in pkt[..size].iter_mut().enumerate() {
                 *b = (m.word(1 + i / 8) >> (8 * (i % 8))) as u8;
             }
             pkt[size..].copy_from_slice(&m.word(1 + size.div_ceil(8)).to_le_bytes());
-            if !self.decoders[gen].receive(&pkt) {
+            if !self.decoders[gen].receive(pkt) {
                 self.wasted += 1;
             }
         }
         // Send: first announce any freshly completed generation (lowest
         // index first), else relay a random generation some neighbor
         // still needs.
-        let gen = (0..self.sizes.len())
-            .find(|&g| self.decoders[g].is_complete() && !self.announced[g])
-            .or_else(|| {
-                let sendable: Vec<usize> = (0..self.sizes.len())
-                    .filter(|&g| {
-                        self.decoders[g].rank() > 0 && self.nbr_complete[g].len() < self.degree
-                    })
-                    .collect();
-                if sendable.is_empty() {
-                    None
-                } else {
-                    Some(sendable[ctx.rng().gen_range(0..sendable.len())])
-                }
-            });
+        let mut gen =
+            (0..self.sizes.len()).find(|&g| self.decoders[g].is_complete() && !self.announced[g]);
+        if gen.is_none() {
+            self.sendable.clear();
+            self.sendable.extend((0..self.sizes.len()).filter(|&g| {
+                self.decoders[g].rank() > 0 && self.nbr_complete[g].len() < self.degree
+            }));
+            if !self.sendable.is_empty() {
+                gen = Some(self.sendable[ctx.rng().gen_range(0..self.sendable.len())]);
+            }
+        }
         let Some(gen) = gen else { return };
         let size = self.sizes[gen];
-        let mut out = vec![0u8; size + RLNC_PAYLOAD];
-        self.decoders[gen].combine(ctx.rng(), &mut out);
+        let out = &mut self.out;
+        out.clear();
+        out.resize(size + RLNC_PAYLOAD, 0);
+        self.decoders[gen].combine(ctx.rng(), out);
         let rank = self.decoders[gen].rank();
         if rank == size {
             self.announced[gen] = true;
         }
-        let mut words = Vec::with_capacity(2 + size.div_ceil(8));
+        let words = &mut self.words;
+        words.clear();
         words.push(gen as u64 | ((rank as u64) << 32));
         for chunk in out[..size].chunks(8) {
             let mut w = 0u64;
@@ -189,7 +249,7 @@ impl NodeProgram for RlncGossipProgram {
             words.push(w);
         }
         words.push(u64::from_le_bytes(out[size..].try_into().expect("8 bytes")));
-        ctx.broadcast(Message::from_words(words));
+        ctx.broadcast(Message::from_words(words.iter().copied()));
     }
 
     fn is_done(&self) -> bool {
@@ -301,7 +361,7 @@ pub fn gossip_protocol_on(
             membership[v].push(t as u32);
         }
     }
-    let mut injections: Vec<std::collections::VecDeque<(u64, u64)>> = vec![Default::default(); n];
+    let mut injections: Vec<VecDeque<(u64, u64)>> = vec![Default::default(); n];
     let sampler = match config.tree_choice {
         TreeChoice::Uniform => None,
         TreeChoice::Weighted => Some(packing.sampler()),
@@ -315,26 +375,10 @@ pub fn gossip_protocol_on(
         per_tree_load[tree as usize] += 1;
         injections[origin].push_back((i as u64, tree));
     }
-    let programs: Vec<GossipProgram> = (0..n)
-        .map(|v| {
-            let inject = std::mem::take(&mut injections[v]);
-            GossipProgram {
-                trees: membership[v].clone(),
-                queue: Default::default(),
-                // Injected messages are seen at injection: the origin
-                // broadcasts each exactly once, so a tree-member origin
-                // must not re-queue its own message when the echo
-                // arrives.
-                seen: inject.iter().map(|&(m, _)| m).collect(),
-                received: Default::default(),
-                inject,
-                wasted: 0,
-            }
-        })
-        .collect();
+    let programs = GossipProgram::per_node(&membership, injections, origins.len());
     let (programs, mut stats) = sim.run(programs, 64 * (n + origins.len()) + 4096)?;
     stats.wasted_bandwidth = programs.iter().map(|p| p.wasted).sum();
-    let complete = programs.iter().all(|p| p.received.len() == origins.len());
+    let complete = programs.iter().all(|p| p.held == origins.len());
     Ok(DistGossipReport {
         complete,
         per_tree_load,
@@ -485,7 +529,7 @@ pub fn gossip_protocol_faulty(
     };
     let mut per_tree_load = vec![0usize; num_trees];
     let mut tree_of: Vec<u64> = Vec::with_capacity(nmsg);
-    let mut injections: Vec<std::collections::VecDeque<(u64, u64)>> = vec![Default::default(); n];
+    let mut injections: Vec<VecDeque<(u64, u64)>> = vec![Default::default(); n];
     for (i, &origin) in origins.iter().enumerate() {
         let tree = match &sampler {
             None => rng.gen_range(0..num_trees) as u64,
@@ -495,30 +539,14 @@ pub fn gossip_protocol_faulty(
         tree_of.push(tree);
         injections[origin].push_back((i as u64, tree));
     }
-    let make_programs = |membership: &[Vec<u32>],
-                         mut injections: Vec<std::collections::VecDeque<(u64, u64)>>|
-     -> Vec<GossipProgram> {
-        (0..n)
-            .map(|v| {
-                let inject = std::mem::take(&mut injections[v]);
-                GossipProgram {
-                    trees: membership[v].clone(),
-                    queue: Default::default(),
-                    seen: inject.iter().map(|&(m, _)| m).collect(),
-                    received: Default::default(),
-                    inject,
-                    wasted: 0,
-                }
-            })
-            .collect()
-    };
     let cap = 64 * (n + nmsg) + 4096;
 
     // Phase 1: the protocol under fire.
     let mut sim = Simulator::with_seed(g, Model::VCongest, seed)
         .with_engine(engine)
         .with_faults(plan.clone());
-    let (phase1, mut stats) = sim.run(make_programs(&membership, injections), cap)?;
+    let (phase1, mut stats) =
+        sim.run(GossipProgram::per_node(&membership, injections, nmsg), cap)?;
     stats.wasted_bandwidth = phase1.iter().map(|p| p.wasted).sum();
 
     // The survivors' view once every fault has fired.
@@ -558,16 +586,16 @@ pub fn gossip_protocol_faulty(
 
     // Repair: re-inject every message some survivor is still missing,
     // from a live holder, on a surviving tree (or as a flood).
-    let mut reinjections: Vec<std::collections::VecDeque<(u64, u64)>> = vec![Default::default(); n];
+    let mut reinjections: Vec<VecDeque<(u64, u64)>> = vec![Default::default(); n];
     let mut lost = vec![false; nmsg];
     let mut reinjected = 0usize;
     for m in 0..nmsg {
-        let missing = (0..n).any(|v| !dead[v] && !phase1[v].received.contains(&(m as u64)));
+        let missing = (0..n).any(|v| !dead[v] && !phase1[v].received.get(0, m));
         if !missing {
             continue;
         }
         let holders: Vec<usize> = (0..n)
-            .filter(|&v| !dead[v] && phase1[v].received.contains(&(m as u64)))
+            .filter(|&v| !dead[v] && phase1[v].received.get(0, m))
             .collect();
         if holders.is_empty() {
             lost[m] = true;
@@ -613,7 +641,10 @@ pub fn gossip_protocol_faulty(
         let mut sim2 = Simulator::with_seed(g, Model::VCongest, seed ^ 0xf1f0_0d17)
             .with_engine(engine)
             .with_faults(plan0);
-        let (phase2, stats2) = sim2.run(make_programs(&membership2, reinjections), cap)?;
+        let (phase2, stats2) = sim2.run(
+            GossipProgram::per_node(&membership2, reinjections, nmsg),
+            cap,
+        )?;
         // Every phase-2 round may carry flood tokens, so the flood
         // column charges the whole repair run when any message fell
         // back to flooding (no surviving tree could carry it).
@@ -623,11 +654,8 @@ pub fn gossip_protocol_faulty(
         stats.absorb(stats2);
         stats.wasted_bandwidth += phase2.iter().map(|p| p.wasted).sum::<usize>();
         complete = (0..n).filter(|&v| !dead[v]).all(|v| {
-            (0..nmsg).all(|m| {
-                lost[m]
-                    || phase1[v].received.contains(&(m as u64))
-                    || phase2[v].received.contains(&(m as u64))
-            })
+            (0..nmsg)
+                .all(|m| lost[m] || phase1[v].received.get(0, m) || phase2[v].received.get(0, m))
         });
     }
 
@@ -801,7 +829,7 @@ fn run_protocol_churn(
         TreeChoice::Weighted => Some(packing.sampler()),
     };
     let mut rng = StdRng::seed_from_u64(seed);
-    let mut injections: Vec<std::collections::VecDeque<(u64, u64)>> = vec![Default::default(); n];
+    let mut injections: Vec<VecDeque<(u64, u64)>> = vec![Default::default(); n];
     for (i, &origin) in origins.iter().enumerate() {
         let tree = match &sampler {
             None => rng.gen_range(0..num_trees) as u64,
@@ -809,23 +837,6 @@ fn run_protocol_churn(
         };
         injections[origin].push_back((i as u64, tree));
     }
-    let make_programs = |membership: &[Vec<u32>],
-                         mut injections: Vec<std::collections::VecDeque<(u64, u64)>>|
-     -> Vec<GossipProgram> {
-        (0..n)
-            .map(|v| {
-                let inject = std::mem::take(&mut injections[v]);
-                GossipProgram {
-                    trees: membership[v].clone(),
-                    queue: Default::default(),
-                    seen: inject.iter().map(|&(m, _)| m).collect(),
-                    received: Default::default(),
-                    inject,
-                    wasted: 0,
-                }
-            })
-            .collect()
-    };
     // The run idles until the last arrival if it must.
     let last_event = plan.events().last().map_or(0, |e| e.round);
     let cap = 64 * (n + nmsg) + 4096 + last_event;
@@ -840,7 +851,7 @@ fn run_protocol_churn(
         sim = sim.with_growth(gg);
     }
     let (phase1, mut stats) = sim
-        .run(make_programs(&membership, injections), cap)
+        .run(GossipProgram::per_node(&membership, injections, nmsg), cap)
         .map_err(ChurnProtocolError::Sim)?;
     stats.wasted_bandwidth = phase1.iter().map(|p| p.wasted).sum();
 
@@ -949,16 +960,16 @@ fn run_protocol_churn(
     // Repair: re-inject every message some survivor is still missing,
     // from a live holder, on a re-extracted certified class (or as a
     // flood when no class can carry it).
-    let mut reinjections: Vec<std::collections::VecDeque<(u64, u64)>> = vec![Default::default(); n];
+    let mut reinjections: Vec<VecDeque<(u64, u64)>> = vec![Default::default(); n];
     let mut lost = vec![false; nmsg];
     let mut reinjected = 0usize;
     for m in 0..nmsg {
-        let missing = (0..n).any(|v| !dead[v] && !phase1[v].received.contains(&(m as u64)));
+        let missing = (0..n).any(|v| !dead[v] && !phase1[v].received.get(0, m));
         if !missing {
             continue;
         }
         let holders: Vec<usize> = (0..n)
-            .filter(|&v| !dead[v] && phase1[v].received.contains(&(m as u64)))
+            .filter(|&v| !dead[v] && phase1[v].received.get(0, m))
             .collect();
         if holders.is_empty() {
             lost[m] = true;
@@ -1006,7 +1017,10 @@ fn run_protocol_churn(
             .with_engine(engine)
             .with_faults(plan0);
         let (phase2, stats2) = sim2
-            .run(make_programs(&membership2, reinjections), cap)
+            .run(
+                GossipProgram::per_node(&membership2, reinjections, nmsg),
+                cap,
+            )
             .map_err(ChurnProtocolError::Sim)?;
         if any_flood {
             stats.flood_rounds += stats2.rounds;
@@ -1014,11 +1028,8 @@ fn run_protocol_churn(
         stats.absorb(stats2);
         stats.wasted_bandwidth += phase2.iter().map(|p| p.wasted).sum::<usize>();
         complete = (0..n).filter(|&v| !dead[v]).all(|v| {
-            (0..nmsg).all(|m| {
-                lost[m]
-                    || phase1[v].received.contains(&(m as u64))
-                    || phase2[v].received.contains(&(m as u64))
-            })
+            (0..nmsg)
+                .all(|m| lost[m] || phase1[v].received.get(0, m) || phase2[v].received.get(0, m))
         });
     }
 

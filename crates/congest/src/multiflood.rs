@@ -6,7 +6,8 @@
 //! proposals. Because each node belongs to `O(log n)` classes, all of these
 //! fit the same pattern:
 //!
-//! * every node holds a table `key → value` (`O(log n)` entries),
+//! * every node holds a key-sorted table of `(key, value)` pairs
+//!   (`O(log n)` entries),
 //! * an edge is *valid for a key* iff **both** endpoints hold the key,
 //! * at fixpoint, each node's value for a key is the min/max over the
 //!   key-connected component containing it.
@@ -19,7 +20,11 @@
 
 use crate::message::Message;
 use crate::sim::{Inbox, NodeCtx, NodeProgram, SimError, Simulator};
-use std::collections::HashMap;
+use std::collections::VecDeque;
+
+/// `(key, value)` pairs per message: 8 words, the default simulator
+/// budget.
+const PAIRS_PER_MESSAGE: usize = 4;
 
 /// Combining operator for [`multikey_flood`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -40,18 +45,23 @@ impl Combine {
 }
 
 struct FloodProgram {
-    table: HashMap<u64, u64>,
+    /// Key-sorted `(key, value)` table.
+    table: Vec<(u64, u64)>,
     combine: Combine,
-    /// Keys whose current value still needs announcing, FIFO.
-    dirty: std::collections::VecDeque<u64>,
-    /// Dedup guard for the dirty queue.
-    queued: std::collections::HashSet<u64>,
+    /// Slots whose current value still needs announcing, FIFO.
+    dirty: VecDeque<usize>,
+    /// Whether a slot sits in `dirty`.
+    queued: Vec<bool>,
 }
 
 impl FloodProgram {
-    fn mark_dirty(&mut self, key: u64) {
-        if self.queued.insert(key) {
-            self.dirty.push_back(key);
+    /// A program with every slot dirty, queued in ascending key order.
+    fn new(table: Vec<(u64, u64)>, combine: Combine) -> Self {
+        FloodProgram {
+            dirty: (0..table.len()).collect(),
+            queued: vec![true; table.len()],
+            table,
+            combine,
         }
     }
 }
@@ -59,36 +69,33 @@ impl FloodProgram {
 impl NodeProgram for FloodProgram {
     fn round(&mut self, ctx: &mut NodeCtx<'_>, inbox: &Inbox<'_>) {
         for (_, m) in inbox {
-            let words = m.words();
-            for pair in words.chunks(2) {
+            for pair in m.words().chunks(2) {
                 let (key, value) = (pair[0], pair[1]);
                 // Edge validity: receiver must hold the key too.
-                let mut improved = false;
-                if let Some(slot) = self.table.get_mut(&key) {
-                    if self.combine.better(value, *slot) {
-                        *slot = value;
-                        improved = true;
+                let Ok(slot) = self.table.binary_search_by_key(&key, |&(k, _)| k) else {
+                    continue;
+                };
+                if self.combine.better(value, self.table[slot].1) {
+                    self.table[slot].1 = value;
+                    if !self.queued[slot] {
+                        self.queued[slot] = true;
+                        self.dirty.push_back(slot);
                     }
-                }
-                if improved {
-                    self.mark_dirty(key);
                 }
             }
         }
         if !self.dirty.is_empty() {
-            let budget_pairs = 4usize; // fixed pairs per message; see below
-            let mut words = Vec::with_capacity(2 * budget_pairs);
-            while words.len() + 2 <= 2 * budget_pairs {
-                match self.dirty.pop_front() {
-                    Some(key) => {
-                        self.queued.remove(&key);
-                        words.push(key);
-                        words.push(self.table[&key]);
-                    }
-                    None => break,
-                }
+            let mut words = [0u64; 2 * PAIRS_PER_MESSAGE];
+            let mut len = 0;
+            while len < words.len() {
+                let Some(slot) = self.dirty.pop_front() else {
+                    break;
+                };
+                self.queued[slot] = false;
+                (words[len], words[len + 1]) = self.table[slot];
+                len += 2;
             }
-            ctx.broadcast(Message::from_words(words));
+            ctx.broadcast(Message::from_words(words[..len].iter().copied()));
         }
     }
 
@@ -99,37 +106,36 @@ impl NodeProgram for FloodProgram {
 
 /// Floods every key's values to a component-wide min/max fixpoint.
 ///
-/// `tables[v]` is node `v`'s initial `key → value` table; a key's
-/// "subgraph" consists of the edges whose both endpoints hold the key.
-/// Returns the fixpoint tables.
+/// `tables[v]` is node `v`'s initial table of `(key, value)` pairs,
+/// sorted by strictly ascending key; a key's "subgraph" consists of the
+/// edges whose both endpoints hold the key. Returns the fixpoint tables
+/// (same keys, same order).
 ///
 /// The per-message budget is 4 `(key, value)` pairs (8 words, the default
 /// simulator budget); nodes with more dirty keys send across several
 /// rounds, which is the meta-round congestion the paper accounts for.
+/// Each node first announces its keys in ascending order, so round and
+/// message counts are a function of the tables alone.
 ///
 /// # Errors
 /// Propagates simulator round-limit errors.
+///
+/// # Panics
+/// Panics if `tables.len()` is not the node count or a table is not
+/// sorted by strictly ascending key.
 pub fn multikey_flood(
     sim: &mut Simulator<'_>,
-    tables: Vec<HashMap<u64, u64>>,
+    tables: Vec<Vec<(u64, u64)>>,
     combine: Combine,
-) -> Result<Vec<HashMap<u64, u64>>, SimError> {
+) -> Result<Vec<Vec<(u64, u64)>>, SimError> {
     assert_eq!(tables.len(), sim.graph().n(), "one table per node");
+    assert!(
+        tables.iter().all(|t| t.windows(2).all(|w| w[0].0 < w[1].0)),
+        "tables must be sorted by strictly ascending key"
+    );
     let programs = tables
         .into_iter()
-        .map(|table| {
-            let mut p = FloodProgram {
-                table,
-                combine,
-                dirty: Default::default(),
-                queued: Default::default(),
-            };
-            let keys: Vec<u64> = p.table.keys().copied().collect();
-            for k in keys {
-                p.mark_dirty(k);
-            }
-            p
-        })
+        .map(|table| FloodProgram::new(table, combine))
         .collect();
     let (programs, _) = sim.run_to_quiescence(programs)?;
     Ok(programs.into_iter().map(|p| p.table).collect())
@@ -141,11 +147,14 @@ mod tests {
     use crate::sim::Model;
     use decomp_graph::generators;
 
-    fn tables_from(entries: &[&[(u64, u64)]]) -> Vec<HashMap<u64, u64>> {
-        entries
-            .iter()
-            .map(|e| e.iter().copied().collect())
-            .collect()
+    fn tables_from(entries: &[&[(u64, u64)]]) -> Vec<Vec<(u64, u64)>> {
+        entries.iter().map(|e| e.to_vec()).collect()
+    }
+
+    /// The value `table` holds for `key`.
+    fn get(table: &[(u64, u64)], key: u64) -> u64 {
+        let slot = table.binary_search_by_key(&key, |&(k, _)| k).unwrap();
+        table[slot].1
     }
 
     #[test]
@@ -156,7 +165,7 @@ mod tests {
         let tables = tables_from(&[&[(7, 30)], &[(7, 10)], &[(7, 20)], &[(7, 40)]]);
         let out = multikey_flood(&mut sim, tables, Combine::Min).unwrap();
         for t in &out {
-            assert_eq!(t[&7], 10);
+            assert_eq!(get(t, 7), 10);
         }
     }
 
@@ -168,22 +177,20 @@ mod tests {
         let mut sim = Simulator::new(&g, Model::VCongest);
         let tables = tables_from(&[&[(5, 9)], &[(5, 4)], &[], &[(5, 1)]]);
         let out = multikey_flood(&mut sim, tables, Combine::Min).unwrap();
-        assert_eq!(out[0][&5], 4);
-        assert_eq!(out[1][&5], 4);
+        assert_eq!(get(&out[0], 5), 4);
+        assert_eq!(get(&out[1], 5), 4);
         assert!(out[2].is_empty());
-        assert_eq!(out[3][&5], 1);
+        assert_eq!(get(&out[3], 5), 1);
     }
 
     #[test]
     fn max_combine() {
         let g = generators::cycle(5);
         let mut sim = Simulator::new(&g, Model::VCongest);
-        let tables: Vec<HashMap<u64, u64>> = (0..5)
-            .map(|v| [(1u64, v as u64)].into_iter().collect())
-            .collect();
+        let tables: Vec<Vec<(u64, u64)>> = (0..5).map(|v| vec![(1u64, v as u64)]).collect();
         let out = multikey_flood(&mut sim, tables, Combine::Max).unwrap();
         for t in &out {
-            assert_eq!(t[&1], 4);
+            assert_eq!(get(t, 1), 4);
         }
     }
 
@@ -193,7 +200,7 @@ mod tests {
         // takes several rounds but must still converge per key.
         let g = generators::path(6);
         let mut sim = Simulator::new(&g, Model::VCongest);
-        let tables: Vec<HashMap<u64, u64>> = (0..6)
+        let tables: Vec<Vec<(u64, u64)>> = (0..6)
             .map(|v| (0u64..20).map(|k| (k, (v as u64 + k) % 17)).collect())
             .collect();
         let expect: Vec<u64> = (0u64..20)
@@ -202,7 +209,7 @@ mod tests {
         let out = multikey_flood(&mut sim, tables, Combine::Min).unwrap();
         for t in &out {
             for k in 0..20u64 {
-                assert_eq!(t[&k], expect[k as usize], "key {k}");
+                assert_eq!(get(t, k), expect[k as usize], "key {k}");
             }
         }
     }
@@ -214,14 +221,14 @@ mod tests {
         let g = generators::grid(3, 3);
         let holders_a: Vec<bool> = (0..9).map(|v| v % 2 == 0).collect();
         let holders_b: Vec<bool> = (0..9).map(|v| v < 6).collect();
-        let tables: Vec<HashMap<u64, u64>> = (0..9)
+        let tables: Vec<Vec<(u64, u64)>> = (0..9)
             .map(|v| {
-                let mut t = HashMap::new();
+                let mut t = Vec::new();
                 if holders_a[v] {
-                    t.insert(0, v as u64);
+                    t.push((0, v as u64));
                 }
                 if holders_b[v] {
-                    t.insert(1, v as u64);
+                    t.push((1, v as u64));
                 }
                 t
             })
@@ -240,7 +247,7 @@ mod tests {
                     .map(|(_, &orig)| orig as u64)
                     .min()
                     .unwrap();
-                assert_eq!(out[orig_u][&key], min_in_comp);
+                assert_eq!(get(&out[orig_u], key), min_in_comp);
             }
         }
     }
@@ -249,7 +256,7 @@ mod tests {
     fn empty_tables_terminate_instantly() {
         let g = generators::path(3);
         let mut sim = Simulator::new(&g, Model::VCongest);
-        let out = multikey_flood(&mut sim, vec![HashMap::new(); 3], Combine::Min).unwrap();
+        let out = multikey_flood(&mut sim, vec![Vec::new(); 3], Combine::Min).unwrap();
         assert!(out.iter().all(|t| t.is_empty()));
     }
 
@@ -257,13 +264,41 @@ mod tests {
     fn works_in_econgest_too() {
         let g = generators::grid(3, 4);
         let mut sim = Simulator::new(&g, Model::ECongest);
-        let tables: Vec<HashMap<u64, u64>> = (0..12)
-            .map(|v| [(9u64, 100 - v as u64)].into_iter().collect())
-            .collect();
+        let tables: Vec<Vec<(u64, u64)>> = (0..12).map(|v| vec![(9u64, 100 - v as u64)]).collect();
         let out = multikey_flood(&mut sim, tables, Combine::Min).unwrap();
         for t in &out {
-            assert_eq!(t[&9], 89);
+            assert_eq!(get(t, 9), 89);
         }
+    }
+
+    #[test]
+    fn identical_calls_count_identical_rounds_and_messages() {
+        // 12 keys per node over 4-pair messages: which keys leave first
+        // decides the later rounds, so the queue order must not vary.
+        let g = generators::grid(4, 4);
+        let run = || {
+            let mut sim = Simulator::new(&g, Model::VCongest);
+            let tables: Vec<Vec<(u64, u64)>> = (0..16)
+                .map(|v| {
+                    (0..12u64)
+                        .map(|k| (3 * k, (v as u64 * 5 + k) % 11))
+                        .collect()
+                })
+                .collect();
+            let out = multikey_flood(&mut sim, tables, Combine::Min).unwrap();
+            (out, sim.stats())
+        };
+        let (first, second) = (run(), run());
+        assert_eq!(first.0, second.0);
+        assert_eq!(first.1, second.1);
+    }
+
+    #[test]
+    #[should_panic(expected = "strictly ascending key")]
+    fn unsorted_tables_are_rejected() {
+        let g = generators::path(2);
+        let mut sim = Simulator::new(&g, Model::VCongest);
+        let _ = multikey_flood(&mut sim, vec![vec![(2, 0), (1, 0)], vec![]], Combine::Min);
     }
 
     #[test]
@@ -273,7 +308,7 @@ mod tests {
         let g = generators::path(10);
         let rounds_for = |keys: u64| {
             let mut sim = Simulator::new(&g, Model::VCongest);
-            let tables: Vec<HashMap<u64, u64>> = (0..10)
+            let tables: Vec<Vec<(u64, u64)>> = (0..10)
                 .map(|v| (0..keys).map(|k| (k, (v as u64 + k) % 7)).collect())
                 .collect();
             multikey_flood(&mut sim, tables, Combine::Min).unwrap();

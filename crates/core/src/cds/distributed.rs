@@ -30,7 +30,10 @@ use decomp_congest::{Model, SimError, Simulator};
 use decomp_graph::NodeId;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::collections::{HashMap, HashSet};
+
+/// Entry of a class-indexed `n × t` component table for a class the
+/// node does not hold.
+const ABSENT: u64 = u64::MAX;
 
 /// Runs the distributed CDS-packing construction on `sim` (V-CONGEST).
 ///
@@ -84,28 +87,21 @@ pub fn cds_packing_distributed(
     }
 
     let graph = sim.graph().clone();
-    let neighborhood = |v: usize| -> Vec<usize> {
-        let mut out = Vec::with_capacity(1 + graph.degree(v));
-        out.push(v);
-        out.extend_from_slice(graph.neighbors(v));
-        out
-    };
+    let closed = |v: usize| std::iter::once(v).chain(graph.neighbors(v).iter().copied());
+    // A component is (class, component-min id); at most one per class
+    // and node, so `class · n + cid` indexes components densely.
     let comp_key = |class: u32, comp: u64| -> u64 { class as u64 * n as u64 + comp };
+    let mut probe = Simulator::new(&graph, Model::VCongest).with_engine(sim.engine());
 
     let mut trace = Vec::with_capacity(layers - half);
     for layer in half..layers {
         // (1) Component identification per class: key = class,
         //     value = real id; fixpoint = component-min per class.
-        let tables: Vec<HashMap<u64, u64>> = (0..n)
-            .map(|v| {
-                old_classes[v]
-                    .iter()
-                    .map(|&c| (c as u64, v as u64))
-                    .collect()
-            })
-            .collect();
-        let comp = multikey_flood(sim, tables, Combine::Min)?;
-        let excess_before = excess_components(&comp, t, n);
+        //     comp[v·t + c] = id of v's class-c component, or ABSENT.
+        let comp = identify_components(sim, &old_classes, t)?;
+        let cid_at = |x: usize, class: u32| comp[x * t + class as usize];
+        let comp_key_at = |v: usize, c: u32| comp_key(c, cid_at(v, c));
+        let excess_before = excess_components(&comp, &old_classes, t);
 
         // One meta-round: everyone learns the neighbors' (class, comp)
         // tables.
@@ -120,59 +116,40 @@ pub fn cds_packing_distributed(
         }
 
         // Deactivation: type-1 connectors announce; adjacent components
-        // deactivate and flood the flag component-wide.
-        let mut deactivate_seed: Vec<HashMap<u64, u64>> = vec![HashMap::new(); n];
-        let mut deactivated_count = 0usize;
+        // deactivate and flood the flag component-wide. Every member of
+        // a component must learn the flag, so all members take part in
+        // the OR flood with default 0.
+        let mut flags = vec![0u64; n * t];
         for v in 0..n {
             let i = c1[v];
             let mut seen: Vec<u64> = Vec::new();
-            for x in neighborhood(v) {
-                if let Some(&cid) = comp[x].get(&(i as u64)) {
-                    if !seen.contains(&cid) {
-                        seen.push(cid);
-                    }
+            for x in closed(v) {
+                let cid = cid_at(x, i);
+                if cid != ABSENT && !seen.contains(&cid) {
+                    seen.push(cid);
                 }
             }
             if seen.len() >= 2 {
                 // The connector message reaches the adjacent old nodes,
                 // which seed the component-wide OR flood.
-                for x in neighborhood(v) {
-                    if let Some(&cid) = comp[x].get(&(i as u64)) {
-                        deactivate_seed[x].insert(comp_key(i, cid), 1);
+                for x in closed(v) {
+                    if cid_at(x, i) != ABSENT {
+                        flags[x * t + i as usize] = 1;
                     }
                 }
             }
         }
         sim.charge_rounds(1); // connector announcement meta-round
-                              // Component-wide OR: every member of a component must learn the
-                              // flag, so all members participate with default 0.
-        let or_tables: Vec<HashMap<u64, u64>> = (0..n)
-            .map(|v| {
-                let mut tbl: HashMap<u64, u64> = comp[v]
-                    .iter()
-                    .map(|(&c, &cid)| (comp_key(c as u32, cid), 0))
-                    .collect();
-                for (k, &flag) in &deactivate_seed[v] {
-                    tbl.insert(*k, flag);
-                }
-                tbl
-            })
-            .collect();
-        let deactivated_flags = multikey_flood(sim, or_tables, Combine::Max)?;
-        let is_deactivated = |v: usize, class: u32, cid: u64| -> bool {
-            deactivated_flags[v]
-                .get(&comp_key(class, cid))
-                .copied()
-                .unwrap_or(0)
-                == 1
-        };
+        flood_held(sim, &old_classes, t, comp_key_at, &mut flags, Combine::Max)?;
+        let is_deactivated = |v: usize, class: u32| flags[v * t + class as usize] == 1;
+        let mut deactivated_count = 0usize;
         {
-            let mut seen: HashSet<u64> = HashSet::new();
+            let mut seen = vec![false; t * n];
             for v in 0..n {
-                for (&c, &cid) in &comp[v] {
-                    let key = comp_key(c as u32, cid);
-                    if deactivated_flags[v].get(&key).copied().unwrap_or(0) == 1 && seen.insert(key)
-                    {
+                for &c in &old_classes[v] {
+                    let key = comp_key_at(v, c) as usize;
+                    if is_deactivated(v, c) && !seen[key] {
+                        seen[key] = true;
                         deactivated_count += 1;
                     }
                 }
@@ -189,13 +166,11 @@ pub fn cds_packing_distributed(
         }
         let mw: Vec<Mw> = (0..n)
             .map(|v| {
-                let i = c3[v] as u64;
                 let mut seen: Vec<u64> = Vec::new();
-                for x in neighborhood(v) {
-                    if let Some(&cid) = comp[x].get(&i) {
-                        if !seen.contains(&cid) {
-                            seen.push(cid);
-                        }
+                for x in closed(v) {
+                    let cid = cid_at(x, c3[v]);
+                    if cid != ABSENT && !seen.contains(&cid) {
+                        seen.push(cid);
                     }
                 }
                 match seen.len() {
@@ -208,19 +183,20 @@ pub fn cds_packing_distributed(
         sim.charge_rounds(1); // type-3 announcement meta-round
 
         // Type-2 node x's neighbor list: active components (class i, comp c)
-        // with an old node in the closed neighborhood, passing condition (c).
+        // with an old node in the closed neighborhood, passing condition
+        // (c) — in closed-neighborhood order, each node's classes ascending.
         let mut lists: Vec<Vec<(u32, u64)>> = vec![Vec::new(); n];
         for x in 0..n {
             let mut list: Vec<(u32, u64)> = Vec::new();
-            for y in neighborhood(x) {
-                for (&cu, &cid) in &comp[y] {
-                    let class = cu as u32;
-                    if is_deactivated(y, class, cid) {
+            for y in closed(x) {
+                for &class in &old_classes[y] {
+                    if is_deactivated(y, class) {
                         continue;
                     }
+                    let cid = cid_at(y, class);
                     // condition (c): some type-3 new neighbor w of x joined
                     // `class` and reaches a component != cid (or connector).
-                    let ok = neighborhood(x).into_iter().any(|w| {
+                    let ok = closed(x).any(|w| {
                         c3[w] == class
                             && match mw[w] {
                                 Mw::None => false,
@@ -239,7 +215,7 @@ pub fn cds_packing_distributed(
         // (4) Maximal matching in O(log n) proposal stages.
         let stages = 2 * ((n.max(2) as f64).log2().ceil() as usize) + 2;
         let mut c2: Vec<Option<u32>> = vec![None; n];
-        let mut matched_components: HashSet<u64> = HashSet::new();
+        let mut matched_components = vec![false; t * n];
         let mut matched = 0usize;
         for _stage in 0..stages {
             // Unmatched type-2 nodes propose to their best random option.
@@ -266,49 +242,46 @@ pub fn cds_packing_distributed(
             }
             sim.charge_rounds(1); // proposal meta-round
                                   // Old nodes adjacent to proposers seed the component-wide max.
-            let mut max_tables: Vec<HashMap<u64, u64>> = (0..n)
-                .map(|v| {
-                    comp[v]
-                        .iter()
-                        .map(|(&c, &cid)| (comp_key(c as u32, cid), 0))
-                        .collect()
-                })
-                .collect();
+            let mut accepted = vec![0u64; n * t];
             for x in 0..n {
                 if let Some((class, cid, val)) = proposals[x] {
-                    for y in neighborhood(x) {
-                        if comp[y].get(&(class as u64)) == Some(&cid) {
-                            let key = comp_key(class, cid);
-                            let slot = max_tables[y].entry(key).or_insert(0);
+                    for y in closed(x) {
+                        if cid_at(y, class) == cid {
+                            let slot = &mut accepted[y * t + class as usize];
                             *slot = (*slot).max(val);
                         }
                     }
                 }
             }
-            let accepted = multikey_flood(sim, max_tables, Combine::Max)?;
+            flood_held(
+                sim,
+                &old_classes,
+                t,
+                comp_key_at,
+                &mut accepted,
+                Combine::Max,
+            )?;
             sim.charge_rounds(1); // acceptance announcement meta-round
                                   // Winners join; losers prune accepted components from lists.
             for x in 0..n {
                 if let Some((class, cid, val)) = proposals[x] {
-                    let key = comp_key(class, cid);
+                    let key = comp_key(class, cid) as usize;
                     // x hears the accepted value from any adjacent member.
-                    let heard = neighborhood(x)
-                        .into_iter()
-                        .filter(|&y| comp[y].get(&(class as u64)) == Some(&cid))
-                        .filter_map(|y| accepted[y].get(&key).copied())
+                    let heard = closed(x)
+                        .filter(|&y| cid_at(y, class) == cid)
+                        .map(|y| accepted[y * t + class as usize])
                         .max()
                         .unwrap_or(0);
-                    if heard == val && !matched_components.contains(&key) {
+                    if heard == val && !matched_components[key] {
                         c2[x] = Some(class);
-                        matched_components.insert(key);
+                        matched_components[key] = true;
                         matched += 1;
                     }
                 }
             }
             // Prune matched components from every list.
             for x in 0..n {
-                lists[x]
-                    .retain(|&(class, cid)| !matched_components.contains(&comp_key(class, cid)));
+                lists[x].retain(|&(class, cid)| !matched_components[comp_key(class, cid) as usize]);
             }
         }
         // Unmatched type-2 nodes pick random classes.
@@ -329,17 +302,8 @@ pub fn cds_packing_distributed(
         }
 
         // Post-layer instrumentation (driver-side; not a protocol step).
-        let tables: Vec<HashMap<u64, u64>> = (0..n)
-            .map(|v| {
-                old_classes[v]
-                    .iter()
-                    .map(|&c| (c as u64, v as u64))
-                    .collect()
-            })
-            .collect();
-        let mut probe = Simulator::new(&graph, Model::VCongest).with_engine(sim.engine());
-        let comp_after = multikey_flood(&mut probe, tables, Combine::Min)?;
-        let excess_after = excess_components(&comp_after, t, n);
+        let comp_after = identify_components(&mut probe, &old_classes, t)?;
+        let excess_after = excess_components(&comp_after, &old_classes, t);
         trace.push(LayerTrace {
             layer,
             excess_before,
@@ -365,18 +329,74 @@ pub fn cds_packing_distributed(
     })
 }
 
-/// Counts `Σ_i max(0, N_i − 1)` from per-node component tables.
-#[allow(clippy::needless_range_loop)]
-fn excess_components(comp: &[HashMap<u64, u64>], t: usize, n: usize) -> usize {
-    let mut comps_per_class: Vec<HashSet<u64>> = vec![HashSet::new(); t];
-    for v in 0..n {
-        for (&c, &cid) in &comp[v] {
-            comps_per_class[c as usize].insert(cid);
+/// Component identification for every class at once: a min-label flood
+/// keyed by class. Returns the class-indexed `n × t` table of component
+/// ids (the component's minimum real id), [`ABSENT`] where a node holds
+/// no old node of the class.
+fn identify_components(
+    sim: &mut Simulator<'_>,
+    held: &[Vec<u32>],
+    t: usize,
+) -> Result<Vec<u64>, SimError> {
+    let mut comp = vec![ABSENT; held.len() * t];
+    for (v, classes) in held.iter().enumerate() {
+        for &c in classes {
+            comp[v * t + c as usize] = v as u64;
+        }
+    }
+    flood_held(sim, held, t, |_, c| c as u64, &mut comp, Combine::Min)?;
+    Ok(comp)
+}
+
+/// One [`multikey_flood`] over the classes each node holds: node `v`
+/// enters `(key(v, c), vals[v·t + c])` for every `c` in `held[v]` and
+/// reads the fixpoint back into `vals`. `key` must increase with `c`
+/// (`held[v]` is sorted), so every table is key-sorted.
+fn flood_held(
+    sim: &mut Simulator<'_>,
+    held: &[Vec<u32>],
+    t: usize,
+    key: impl Fn(usize, u32) -> u64,
+    vals: &mut [u64],
+    combine: Combine,
+) -> Result<(), SimError> {
+    let tables = held
+        .iter()
+        .enumerate()
+        .map(|(v, classes)| {
+            classes
+                .iter()
+                .map(|&c| (key(v, c), vals[v * t + c as usize]))
+                .collect()
+        })
+        .collect();
+    let fixpoint = multikey_flood(sim, tables, combine)?;
+    for (v, (classes, table)) in held.iter().zip(fixpoint).enumerate() {
+        for (&c, (_, value)) in classes.iter().zip(table) {
+            vals[v * t + c as usize] = value;
+        }
+    }
+    Ok(())
+}
+
+/// Counts `Σ_i max(0, N_i − 1)` from a class-indexed component table.
+fn excess_components(comp: &[u64], held: &[Vec<u32>], t: usize) -> usize {
+    let n = held.len();
+    let mut seen = vec![false; t * n];
+    let mut comps_per_class = vec![0usize; t];
+    for (v, classes) in held.iter().enumerate() {
+        for &c in classes {
+            let c = c as usize;
+            let key = c * n + comp[v * t + c] as usize;
+            if !seen[key] {
+                seen[key] = true;
+                comps_per_class[c] += 1;
+            }
         }
     }
     comps_per_class
         .into_iter()
-        .map(|s| s.len().saturating_sub(1))
+        .map(|k| k.saturating_sub(1))
         .sum()
 }
 
@@ -436,6 +456,24 @@ mod tests {
         let mut sim = Simulator::new(&g, Model::VCongest);
         let p = cds_packing_distributed(&mut sim, &CdsPackingConfig::with_known_k(10, 9)).unwrap();
         assert!(p.max_real_multiplicity() <= 3 * p.layout.layers());
+    }
+
+    #[test]
+    fn identical_calls_return_identical_stats_and_classes() {
+        // t = 8 classes: nodes hold more than the 4 keys one flood
+        // message carries, so the order in which a node first announces
+        // its keys decides later rounds and messages.
+        let g = generators::harary(32, 128);
+        let cfg = CdsPackingConfig::with_known_k(32, 1);
+        let run = || {
+            let mut sim = Simulator::new(&g, Model::VCongest);
+            let p = cds_packing_distributed(&mut sim, &cfg).unwrap();
+            (sim.stats(), p.class_of)
+        };
+        let first = run();
+        for _ in 0..2 {
+            assert_eq!(run(), first);
+        }
     }
 
     #[test]

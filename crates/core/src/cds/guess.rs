@@ -351,6 +351,23 @@ mod tests {
     }
 
     #[test]
+    fn distributed_guess_counts_repeat_exactly() {
+        // The first guess (32) packs 8 classes, so nodes hold more keys
+        // than one flood message carries; identical calls must still
+        // spend identical rounds and pick identical classes.
+        let g = generators::harary(8, 64);
+        let run = || {
+            let mut sim = Simulator::new(&g, Model::VCongest);
+            let r = cds_packing_unknown_k_distributed(&mut sim, 1).unwrap();
+            (sim.stats(), r.attempts, r.packing.class_of)
+        };
+        let first = run();
+        for _ in 0..2 {
+            assert_eq!(run(), first);
+        }
+    }
+
+    #[test]
     fn distributed_guess_is_deterministic_and_engine_independent() {
         let g = generators::harary(6, 24);
         let run = |engine| {

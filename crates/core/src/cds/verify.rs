@@ -22,7 +22,10 @@ use decomp_graph::domination::is_cds;
 use decomp_graph::{Graph, NodeId};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::collections::HashMap;
+
+/// Entry of a class-indexed `n × t` table for a class the node has no
+/// component id for.
+const ABSENT: u64 = u64::MAX;
 
 /// Outcome of a packing test.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -114,27 +117,42 @@ pub fn verify_distributed(
     // --- Connectivity test ------------------------------------------------
     // Component identification per class: key = class, value = real id;
     // the key-subgraph is exactly the class's induced projection.
-    let tables: Vec<HashMap<u64, u64>> = (0..n)
-        .map(|v| {
-            membership[v]
-                .iter()
-                .map(|&c| (c as u64, v as u64))
-                .collect()
+    // comp[v·t + c] = id of v's class-c component, or ABSENT.
+    let t = num_classes;
+    let tables = membership
+        .iter()
+        .enumerate()
+        .map(|(v, classes)| {
+            let mut keys: Vec<u64> = classes.iter().map(|&c| c as u64).collect();
+            keys.sort_unstable();
+            keys.dedup();
+            keys.into_iter().map(|c| (c, v as u64)).collect()
         })
         .collect();
-    let comp = multikey_flood(sim, tables, Combine::Min)?;
+    let mut comp = vec![ABSENT; n * t];
+    for (v, table) in multikey_flood(sim, tables, Combine::Min)?
+        .into_iter()
+        .enumerate()
+    {
+        for (c, id) in table {
+            comp[v * t + c as usize] = id;
+        }
+    }
 
     // First exchange: every node sends all its (class, comp-id) pairs; a
     // node adjacent to two different components of one class detects the
     // disconnect immediately.
     for v in 0..n {
-        for (&c, &id) in &comp[v] {
+        for c in 0..t {
+            let id = comp[v * t + c];
+            if id == ABSENT {
+                continue;
+            }
             for &u in g.neighbors(v) {
-                if let Some(&other) = comp[u].get(&c) {
-                    if other != id {
-                        sim.charge_rounds(1 + d);
-                        return Ok(VerifyOutcome::ConnectivityFailure);
-                    }
+                let other = comp[u * t + c];
+                if other != ABSENT && other != id {
+                    sim.charge_rounds(1 + d);
+                    return Ok(VerifyOutcome::ConnectivityFailure);
                 }
             }
         }
@@ -149,37 +167,39 @@ pub fn verify_distributed(
     // path mechanism of Appendix E.
     let mut rng = StdRng::seed_from_u64(seed);
     let rounds = 2 * (n.max(2) as f64).log2().ceil() as usize + 2;
-    // known[v]: class -> set of ids heard (own and neighbors')
-    let mut known: Vec<HashMap<u64, u64>> = vec![HashMap::new(); n];
+    // known[v·t + c]: the id v heard first for class c (its own, else the
+    // first neighbor's in adjacency order), or ABSENT.
+    let mut known = comp.clone();
     for v in 0..n {
-        for (&c, &id) in &comp[v] {
-            known[v].insert(c, id);
-        }
         for &u in g.neighbors(v) {
-            for (&c, &id) in &comp[u] {
-                known[v].entry(c).or_insert(id);
+            for c in 0..t {
+                if known[v * t + c] == ABSENT {
+                    known[v * t + c] = comp[u * t + c];
+                }
             }
         }
     }
     for _ in 0..rounds {
         sim.charge_rounds(1);
         for v in 0..n {
-            if known[v].is_empty() {
+            // The draw ranges over v's known classes in ascending order.
+            let known_at = |c: &usize| known[v * t + c] != ABSENT;
+            let count = (0..t).filter(known_at).count();
+            if count == 0 {
                 continue;
             }
-            let keys: Vec<u64> = known[v].keys().copied().collect();
-            let c = keys[rng.gen_range(0..keys.len())];
-            let id = known[v][&c];
+            let pick = rng.gen_range(0..count);
+            let c = (0..t).filter(known_at).nth(pick).expect("pick < count");
+            let id = known[v * t + c];
             for &u in g.neighbors(v) {
-                if let Some(&other) = known[u].get(&c) {
-                    if other != id {
-                        sim.charge_rounds(d);
-                        return Ok(VerifyOutcome::ConnectivityFailure);
-                    }
+                let other = known[u * t + c];
+                if other != ABSENT && other != id {
+                    sim.charge_rounds(d);
+                    return Ok(VerifyOutcome::ConnectivityFailure);
                 }
                 // Receivers learn announced ids (and can forward them in
                 // later rounds).
-                known[u].entry(c).or_insert(id);
+                known[u * t + c] = id;
             }
         }
     }
@@ -262,6 +282,33 @@ mod tests {
         let mut sim = Simulator::new(&g, Model::VCongest);
         let out = verify_distributed(&mut sim, &membership, 2, 7).unwrap();
         assert_eq!(out, VerifyOutcome::ConnectivityFailure);
+    }
+
+    #[test]
+    fn split_class_detection_repeats_per_seed() {
+        // Class 0 = two arcs of C16 that dominate the cycle; classes 1..=6
+        // span it. Nodes know 7 classes, so which class a node announces
+        // (and so the round the split is caught in) hangs on the order
+        // the draw ranges over.
+        let g = generators::cycle(16);
+        let mut classes = vec![(0..6).chain(8..14).collect::<Vec<usize>>()];
+        classes.extend((1..=6).map(|_| (0..16).collect::<Vec<usize>>()));
+        assert_eq!(
+            verify_centralized(&g, &classes),
+            VerifyOutcome::ConnectivityFailure
+        );
+        let membership = membership_of(&classes, g.n());
+        for seed in 0..8 {
+            let run = || {
+                let mut sim = Simulator::new(&g, Model::VCongest);
+                let out = verify_distributed(&mut sim, &membership, classes.len(), seed).unwrap();
+                (out, sim.stats())
+            };
+            let first = run();
+            for _ in 0..2 {
+                assert_eq!(run(), first, "seed {seed}");
+            }
+        }
     }
 
     #[test]

@@ -23,7 +23,6 @@ use connectivity_decomposition::graph::{generators, Graph};
 use decomp_testkit::{fixtures, golden};
 use proptest::prelude::*;
 use rand::Rng;
-use std::collections::HashMap;
 
 /// Runs `f` under every engine in the sweep and asserts all observations
 /// equal the sequential baseline.
@@ -67,7 +66,7 @@ fn leader_election_bit_identical_on_every_fixture() {
 fn multiflood_bit_identical_in_both_models() {
     for f in fixtures::small() {
         for model in [Model::VCongest, Model::ECongest] {
-            let tables: Vec<HashMap<u64, u64>> = (0..f.graph.n())
+            let tables: Vec<Vec<(u64, u64)>> = (0..f.graph.n())
                 .map(|v| {
                     [(0u64, v as u64), (v as u64 % 3 + 1, (v * v) as u64)]
                         .into_iter()
@@ -77,16 +76,7 @@ fn multiflood_bit_identical_in_both_models() {
             assert_equivalent(&format!("{} {model}", f.name), |engine| {
                 let mut sim = Simulator::new(&f.graph, model).with_engine(engine);
                 let fixpoint = multikey_flood(&mut sim, tables.clone(), Combine::Min).unwrap();
-                // HashMaps compare unordered; canonicalize for the tuple.
-                let canon: Vec<Vec<(u64, u64)>> = fixpoint
-                    .into_iter()
-                    .map(|t| {
-                        let mut kv: Vec<_> = t.into_iter().collect();
-                        kv.sort_unstable();
-                        kv
-                    })
-                    .collect();
-                (canon, sim.stats().locality_blind())
+                (fixpoint, sim.stats().locality_blind())
             });
         }
     }
